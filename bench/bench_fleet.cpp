@@ -1,5 +1,5 @@
 // Fleet engine benchmark: runs a 64-device fleet serially and on the
-// work-stealing executor at several thread counts, verifying that the
+// parallel-for executor at several thread counts, verifying that the
 // aggregate statistics are bit-identical for every thread count (the fleet
 // determinism contract) and reporting the wall-clock speedup. On a
 // multi-core host the 8-thread run approaches linear scaling; the serial

@@ -1,21 +1,15 @@
 #include "src/fleet/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <numeric>
-#include <optional>
 #include <utility>
 
-#include "src/aft/aft.h"
 #include "src/common/strings.h"
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/device.h"
-#include "src/fleet/executor.h"
-#include "src/os/os.h"
 #include "src/ota/bootloader.h"
 #include "src/ota/image.h"
 
@@ -24,11 +18,8 @@ namespace amulet {
 namespace {
 
 using fleet_internal::ClonedDevice;
-using fleet_internal::DataRegions;
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
+using fleet_internal::CohortRuntime;
+using fleet_internal::SecondsSince;
 
 const std::vector<CampaignStage>& DefaultStages() {
   static const std::vector<CampaignStage> kStages = {
@@ -129,14 +120,8 @@ void RecordCampaignDeviceMetrics(const CampaignDeviceRow& row, MetricRegistry* m
 // Everything per-device work needs, shared read-only across worker threads.
 struct CampaignContext {
   const CampaignConfig* config = nullptr;
-  const Firmware* firmware_from = nullptr;
-  const Firmware* firmware_to = nullptr;
-  const MachineSnapshot* snapshot_from = nullptr;
-  const MachineSnapshot* snapshot_to = nullptr;
-  const AmuletOs* booted_from = nullptr;
-  const AmuletOs* booted_to = nullptr;
-  DataRegions regions_from;
-  DataRegions regions_to;
+  const CohortRuntime* from = nullptr;  // old-firmware template
+  const CohortRuntime* to = nullptr;    // new-firmware template
   const OtaImage* deploy = nullptr;
 };
 
@@ -155,10 +140,9 @@ Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
   // Phase 1: the device's ordinary workload on the old firmware.
   ASSIGN_OR_RETURN(std::unique_ptr<ClonedDevice> device,
                    ClonedDevice::Clone(device_seed, config.fleet.fram_wait_states,
-                                       *ctx.firmware_from, *ctx.snapshot_from,
-                                       *ctx.booted_from, config.fleet.predecode,
-                                       config.fleet.flight_recorder));
-  RETURN_IF_ERROR(device->Run(config.fleet.sim_ms, ctx.regions_from, &row->stats, ledger));
+                                       ctx.from->firmware, ctx.from->snapshot, *ctx.from->os,
+                                       config.fleet.predecode, config.fleet.flight_recorder));
+  RETURN_IF_ERROR(device->Run(config.fleet.sim_ms, ctx.from->regions, &row->stats, ledger));
 
   // Phase 2: the bootloader verifies the staged image's MAC as simulated
   // MSP430 code; the cycle cost is this device's genuine verification bill.
@@ -178,8 +162,8 @@ Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
     const uint32_t health_seed = device_seed ^ fleet_internal::Mix32(config.to_version);
     ASSIGN_OR_RETURN(std::unique_ptr<ClonedDevice> updated,
                      ClonedDevice::Clone(health_seed, config.fleet.fram_wait_states,
-                                         *ctx.firmware_to, *ctx.snapshot_to,
-                                         *ctx.booted_to, config.fleet.predecode,
+                                         ctx.to->firmware, ctx.to->snapshot, *ctx.to->os,
+                                         config.fleet.predecode,
                                          config.fleet.flight_recorder));
     BlData bl;
     bl.active_bank = 1;
@@ -190,7 +174,7 @@ Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
 
     DeviceStats health;
     health.device_id = device_id;
-    RETURN_IF_ERROR(updated->Run(config.health_ms, ctx.regions_to, &health, ledger));
+    RETURN_IF_ERROR(updated->Run(config.health_ms, ctx.to->regions, &health, ledger));
     AddStats(&row->stats, health);
     span_ms += config.health_ms;
 
@@ -247,54 +231,39 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
   // Stage accounting always needs per-device rows.
   config.fleet.retain_device_stats = true;
 
-  ASSIGN_OR_RETURN(std::vector<AppSource> from_sources,
-                   fleet_internal::ResolveApps(&config.fleet.apps));
+  // Template boots for both firmware versions; every device clones from
+  // these snapshots instead of re-paying boot cost.
+  const auto boot_t0 = std::chrono::steady_clock::now();
+  Cohort from_cohort;
+  from_cohort.apps = config.fleet.apps;
+  from_cohort.model = config.fleet.model;
+  ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> from,
+                   fleet_internal::BootCohort(from_cohort, config.fleet));
+  config.fleet.apps = from->cohort.apps;
   if (config.to_apps.empty()) {
     config.to_apps = config.fleet.apps;
   }
-  ASSIGN_OR_RETURN(std::vector<AppSource> to_sources,
-                   fleet_internal::ResolveApps(&config.to_apps));
-
-  const auto boot_t0 = std::chrono::steady_clock::now();
-  AftOptions aft;
-  aft.model = config.fleet.model;
-  ASSIGN_OR_RETURN(Firmware firmware_from, BuildFirmware(from_sources, aft));
-  ASSIGN_OR_RETURN(Firmware firmware_to, BuildFirmware(to_sources, aft));
+  Cohort to_cohort = from_cohort;
+  to_cohort.apps = config.to_apps;
+  ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> to,
+                   fleet_internal::BootCohort(to_cohort, config.fleet));
+  config.to_apps = to->cohort.apps;
 
   // The deployed container: either the freshly packed new firmware or the
   // caller-supplied bytes (the tamper hook). Decode validates the transport
   // checksums; authenticity is each device's simulated MAC check.
   std::vector<uint8_t> deploy_bytes;
   if (config.image_override.empty()) {
-    deploy_bytes = EncodeOtaImage(PackOtaImage(firmware_to.image, config.to_version,
+    deploy_bytes = EncodeOtaImage(PackOtaImage(to->firmware.image, config.to_version,
                                                config.fleet.model, config.key));
   } else {
     deploy_bytes = config.image_override;
   }
   ASSIGN_OR_RETURN(OtaImage deploy, DecodeOtaImage(deploy_bytes));
 
-  // Template boots for both firmware versions; every device clones from
-  // these snapshots instead of re-paying boot cost.
-  OsOptions template_options;
-  template_options.fram_wait_states = config.fleet.fram_wait_states;
-  template_options.fault_policy = FaultPolicy::kRestartApp;
-  template_options.sensor_seed = config.fleet.fleet_seed;
-  Machine template_machine_from;
-  template_machine_from.cpu().set_predecode(config.fleet.predecode);
-  AmuletOs template_os_from(&template_machine_from, firmware_from, template_options);
-  RETURN_IF_ERROR(template_os_from.Boot());
-  const MachineSnapshot snapshot_from = CaptureSnapshot(template_machine_from);
-  Machine template_machine_to;
-  template_machine_to.cpu().set_predecode(config.fleet.predecode);
-  AmuletOs template_os_to(&template_machine_to, firmware_to, template_options);
-  RETURN_IF_ERROR(template_os_to.Boot());
-  const MachineSnapshot snapshot_to = CaptureSnapshot(template_machine_to);
-
-  const uint64_t fw1_hash = FirmwareImageHash(firmware_from.image);
-  const uint64_t fw2_hash = FirmwareImageHash(firmware_to.image);
   const uint64_t image_fnv = Fnv1a64(deploy_bytes.data(), deploy_bytes.size());
   const std::string canonical =
-      CampaignConfigCanonical(config, fw1_hash, fw2_hash, image_fnv);
+      CampaignConfigCanonical(config, from->firmware_hash, to->firmware_hash, image_fnv);
   uint64_t config_hash =
       Fnv1a64(reinterpret_cast<const uint8_t*>(canonical.data()), canonical.size());
   if (resume != nullptr) {
@@ -308,7 +277,7 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
                     "run is [%s]",
                     resume->config_text.c_str(), canonical.c_str()));
     }
-    if (resume->template_snapshot.bytes != snapshot_from.bytes) {
+    if (resume->template_snapshot.bytes != from->snapshot.bytes) {
       return InvalidArgumentError(
           "checkpoint template snapshot does not match the one this build and config "
           "produce");
@@ -318,19 +287,13 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
   const int device_count = config.fleet.device_count;
   CampaignContext ctx;
   ctx.config = &config;
-  ctx.firmware_from = &firmware_from;
-  ctx.firmware_to = &firmware_to;
-  ctx.snapshot_from = &snapshot_from;
-  ctx.snapshot_to = &snapshot_to;
-  ctx.booted_from = &template_os_from;
-  ctx.booted_to = &template_os_to;
-  ctx.regions_from = DataRegions::For(firmware_from);
-  ctx.regions_to = DataRegions::For(firmware_to);
+  ctx.from = from.get();
+  ctx.to = to.get();
   ctx.deploy = &deploy;
 
   CampaignReport report;
   report.config = config;
-  report.snapshot_bytes = snapshot_from.bytes.size() + snapshot_to.bytes.size();
+  report.snapshot_bytes = from->snapshot.bytes.size() + to->snapshot.bytes.size();
   report.boot_seconds = SecondsSince(boot_t0);
   report.devices.resize(static_cast<size_t>(device_count));
   for (int i = 0; i < device_count; ++i) {
@@ -338,61 +301,12 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
     report.devices[static_cast<size_t>(i)].firmware_version = config.from_version;
   }
 
-  std::vector<bool> completed(static_cast<size_t>(device_count), false);
-  if (resume != nullptr) {
-    completed = resume->completed;
-    report.metrics = resume->metrics;
-    report.faults = resume->faults;
-    report.resumed_devices = resume->CompletedCount();
-    for (const DeviceStats& d : resume->devices) {
-      report.devices[static_cast<size_t>(d.device_id)].stats = d;
-    }
-    for (const CampaignDeviceRecord& rec : resume->campaign_devices) {
-      CampaignDeviceRow& row = report.devices[static_cast<size_t>(rec.device_id)];
-      row.outcome = static_cast<OtaOutcome>(rec.outcome);
-      row.firmware_version = rec.firmware_version;
-      row.verify_cycles = rec.verify_cycles;
-    }
-  }
-
-  const std::vector<int> order = CampaignRolloutOrder(device_count, config.rollout_seed);
-
-  std::vector<Status> device_status(static_cast<size_t>(device_count));
-  const auto run_t0 = std::chrono::steady_clock::now();
-
-  const bool checkpointing = !config.fleet.checkpoint_path.empty();
-  std::mutex merge_mu;
-  Status checkpoint_status;          // guarded by merge_mu
-  int devices_since_checkpoint = 0;  // guarded by merge_mu
-  auto last_checkpoint = run_t0;     // guarded by merge_mu
-  int completed_this_run = 0;        // guarded by merge_mu
-  bool aborted = false;              // guarded by merge_mu
-  std::atomic<bool> cancel_requested{false};
-  std::optional<Executor> executor;
-  if (config.fleet.jobs == 1) {
-    report.config.fleet.jobs = 1;
-  } else {
-    executor.emplace(config.fleet.jobs);
-    report.config.fleet.jobs = executor->thread_count();
-  }
-
-  auto request_cancel = [&] {
-    cancel_requested.store(true, std::memory_order_relaxed);
-    if (executor.has_value()) {
-      executor->Cancel();
-    }
-  };
-
-  auto build_checkpoint = [&] {
+  auto build_checkpoint = [&](const std::vector<bool>& completed) {
     FleetCheckpoint cp;
     cp.kind = FleetCheckpointKind::kCampaign;
     cp.config_hash = config_hash;
     cp.config_text = canonical;
-    cp.template_snapshot = snapshot_from;
-    cp.metrics = report.metrics;
-    cp.faults = report.faults;
-    cp.completed = completed;
-    cp.device_count = device_count;
+    cp.template_snapshot = from->snapshot;
     for (int i = 0; i < device_count; ++i) {
       if (!completed[static_cast<size_t>(i)]) {
         continue;
@@ -408,55 +322,31 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
     }
     return cp;
   };
-
-  auto run_one = [&](int id) {
-    CampaignDeviceRow& row = report.devices[static_cast<size_t>(id)];
-    Status status;
-    FaultLedger device_ledger;
-    if (config.fleet.fail_device_id == id) {
-      status = InternalError(StrFormat("injected failure on device %d", id));
-    } else {
-      CampaignDeviceRow fresh;
-      status = RunCampaignDevice(id, ctx, &fresh, &device_ledger);
-      if (status.ok()) {
-        row = fresh;
-      }
+  fleet_internal::DeviceRunner runner(config.fleet, "campaign", &report.metrics,
+                                      &report.faults, build_checkpoint, resume);
+  report.config.fleet.jobs = runner.thread_count();
+  if (resume != nullptr) {
+    report.resumed_devices = resume->CompletedCount();
+    for (const DeviceStats& d : resume->devices) {
+      report.devices[static_cast<size_t>(d.device_id)].stats = d;
     }
-    device_status[static_cast<size_t>(id)] = status;
-    MetricRegistry device_metrics;
-    if (status.ok()) {
-      RecordCampaignDeviceMetrics(row, &device_metrics);
+    for (const CampaignDeviceRecord& rec : resume->campaign_devices) {
+      CampaignDeviceRow& row = report.devices[static_cast<size_t>(rec.device_id)];
+      row.outcome = static_cast<OtaOutcome>(rec.outcome);
+      row.firmware_version = rec.firmware_version;
+      row.verify_cycles = rec.verify_cycles;
     }
-    std::lock_guard<std::mutex> lock(merge_mu);
-    if (!status.ok()) {
-      request_cancel();
-      return;
-    }
-    report.metrics.Merge(device_metrics);
-    report.faults.Merge(device_ledger);
-    completed[static_cast<size_t>(id)] = true;
-    ++completed_this_run;
-    if (config.fleet.abort_after_devices > 0 &&
-        completed_this_run >= config.fleet.abort_after_devices && !aborted) {
-      aborted = true;
-      request_cancel();
-    }
-    if (checkpointing && checkpoint_status.ok() &&
-        (devices_since_checkpoint + 1 >=
-             std::max(1, config.fleet.checkpoint_every_devices) ||
-         SecondsSince(last_checkpoint) >= config.fleet.checkpoint_every_seconds)) {
-      checkpoint_status =
-          WriteFleetCheckpoint(config.fleet.checkpoint_path, build_checkpoint());
-      devices_since_checkpoint = 0;
-      last_checkpoint = std::chrono::steady_clock::now();
-      if (!checkpoint_status.ok()) {
-        request_cancel();
-      }
-    } else {
-      ++devices_since_checkpoint;
-    }
+  }
+  auto run_one = [&](int id, MetricRegistry* device_metrics, FaultLedger* ledger) {
+    CampaignDeviceRow fresh;
+    RETURN_IF_ERROR(RunCampaignDevice(id, ctx, &fresh, ledger));
+    report.devices[static_cast<size_t>(id)] = fresh;
+    RecordCampaignDeviceMetrics(fresh, device_metrics);
+    return OkStatus();
   };
 
+  const std::vector<int> order = CampaignRolloutOrder(device_count, config.rollout_seed);
+  const auto run_t0 = std::chrono::steady_clock::now();
   // Stage loop: each stage runs its not-yet-completed slice of the rollout
   // order, then its failure rate is evaluated over ALL its devices (restored
   // rows included) — so a resumed campaign replays identical abort decisions.
@@ -470,7 +360,7 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
     std::vector<int> todo;
     for (size_t k = stage_begin; k < stage_end; ++k) {
       const int id = order[k];
-      if (!completed[static_cast<size_t>(id)]) {
+      if (!runner.completed()[static_cast<size_t>(id)]) {
         todo.push_back(id);
       }
     }
@@ -478,19 +368,8 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
       std::fprintf(stderr, "campaign: stage %zu (%d%%): %zu device(s), %zu to run\n", s,
                    stage.percent, stage_end - stage_begin, todo.size());
     }
-    if (!todo.empty()) {
-      if (!executor.has_value()) {
-        for (int id : todo) {
-          if (cancel_requested.load(std::memory_order_relaxed)) {
-            break;
-          }
-          run_one(id);
-        }
-      } else {
-        executor->ParallelFor(todo.size(), [&](size_t i) { run_one(todo[i]); });
-      }
-    }
-    if (cancel_requested.load(std::memory_order_relaxed)) {
+    runner.Run(todo, run_one);
+    if (runner.cancelled()) {
       // Kill, device failure, or checkpoint failure mid-stage; the stage is
       // incomplete, so no threshold decision is made here.
       break;
@@ -531,28 +410,7 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
   }
   report.run_seconds = SecondsSince(run_t0);
 
-  // Final checkpoint on every exit path, so no completed device's work is
-  // ever lost.
-  if (checkpointing && checkpoint_status.ok()) {
-    checkpoint_status =
-        WriteFleetCheckpoint(config.fleet.checkpoint_path, build_checkpoint());
-  }
-
-  for (int id = 0; id < device_count; ++id) {
-    if (!device_status[static_cast<size_t>(id)].ok()) {
-      const Status& s = device_status[static_cast<size_t>(id)];
-      return Status(s.code(), StrFormat("device %d: %s", id, s.message().c_str()));
-    }
-  }
-  if (!checkpoint_status.ok()) {
-    return checkpoint_status;
-  }
-  if (aborted) {
-    return CancelledError(
-        StrFormat("campaign cancelled after %d completed device(s) this run "
-                  "(abort_after_devices=%d)",
-                  completed_this_run, config.fleet.abort_after_devices));
-  }
+  RETURN_IF_ERROR(runner.Finish());
 
   // Devices a threshold abort left untouched stay on the old version; fold
   // them into the report-level version-skew counters (NOT the checkpointed

@@ -1,8 +1,11 @@
 #include "src/fleet/device.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "src/common/strings.h"
+#include "src/ota/image.h"
 
 namespace amulet {
 namespace fleet_internal {
@@ -85,6 +88,31 @@ DataRegions DataRegions::For(const Firmware& firmware) {
     regions.spans.emplace_back(app.data_lo, app.data_hi);
   }
   return regions;
+}
+
+Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
+                                                  const FleetConfig& config) {
+  auto runtime = std::make_unique<CohortRuntime>();
+  runtime->cohort = cohort;
+  ASSIGN_OR_RETURN(std::vector<AppSource> sources, ResolveApps(&runtime->cohort.apps));
+  AftOptions aft;
+  aft.model = cohort.model;
+  aft.optimize_checks = config.check_opt;
+  ASSIGN_OR_RETURN(runtime->firmware, BuildFirmware(sources, aft));
+  runtime->regions = DataRegions::For(runtime->firmware);
+
+  runtime->machine = std::make_unique<Machine>();
+  runtime->machine->cpu().set_predecode(config.predecode);
+  OsOptions template_options;
+  template_options.fram_wait_states = config.fram_wait_states;
+  template_options.fault_policy = FaultPolicy::kRestartApp;
+  template_options.sensor_seed = config.fleet_seed;
+  runtime->os =
+      std::make_unique<AmuletOs>(runtime->machine.get(), runtime->firmware, template_options);
+  RETURN_IF_ERROR(runtime->os->Boot());
+  runtime->snapshot = CaptureSnapshot(*runtime->machine);
+  runtime->firmware_hash = FirmwareImageHash(runtime->firmware.image);
+  return runtime;
 }
 
 ClonedDevice::ClonedDevice(const Firmware& firmware, int fram_wait_states,
@@ -216,6 +244,117 @@ void RecordDeviceMetrics(const DeviceStats& stats, MetricRegistry* m) {
   m->Observe("device.watchdog_resets", stats.watchdog_resets);
   m->Observe("device.instructions", stats.instructions);
   m->Observe("device.battery_upct", BatteryMicroPercent(stats.battery_impact_percent));
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+DeviceRunner::DeviceRunner(const FleetConfig& config, std::string name,
+                           MetricRegistry* metrics, FaultLedger* faults,
+                           CheckpointBuilder build_checkpoint, const FleetCheckpoint* resume)
+    : config_(config),
+      name_(std::move(name)),
+      metrics_(metrics),
+      faults_(faults),
+      build_checkpoint_(std::move(build_checkpoint)),
+      executor_(config.jobs),
+      completed_(static_cast<size_t>(config.device_count), false),
+      last_checkpoint_(std::chrono::steady_clock::now()) {
+  if (resume != nullptr) {
+    completed_ = resume->completed;
+    *metrics_ = resume->metrics;
+    *faults_ = resume->faults;
+  }
+}
+
+void DeviceRunner::Run(const std::vector<int>& ids, const Body& body) {
+  run_size_ = ids.size();
+  run_done_ = 0;
+  run_t0_ = last_progress_ = std::chrono::steady_clock::now();
+  executor_.ParallelFor(ids.size(), [&](size_t k) {
+    const int id = ids[k];
+    MetricRegistry device_metrics;
+    FaultLedger device_ledger;
+    const Status status =
+        config_.fail_device_id == id
+            ? InternalError(StrFormat("injected failure on device %d", id))
+            : body(id, &device_metrics, &device_ledger);
+    std::lock_guard<std::mutex> lock(merge_mu_);
+    MergeLocked(id, status, device_metrics, device_ledger);
+  });
+}
+
+void DeviceRunner::MergeLocked(int id, const Status& status, const MetricRegistry& metrics,
+                               const FaultLedger& ledger) {
+  ++run_done_;
+  if (!status.ok()) {
+    if (failed_id_ < 0 || id < failed_id_) {
+      failed_id_ = id;
+      failed_status_ = status;
+    }
+    executor_.Cancel();
+    return;
+  }
+  metrics_->Merge(metrics);
+  faults_->Merge(ledger);
+  completed_[static_cast<size_t>(id)] = true;
+  ++completed_this_run_;
+  if (config_.abort_after_devices > 0 && completed_this_run_ >= config_.abort_after_devices &&
+      !aborted_) {
+    aborted_ = true;
+    executor_.Cancel();
+  }
+  if (!config_.checkpoint_path.empty() && checkpoint_status_.ok() &&
+      (devices_since_checkpoint_ + 1 >= std::max(1, config_.checkpoint_every_devices) ||
+       SecondsSince(last_checkpoint_) >= config_.checkpoint_every_seconds)) {
+    WriteCheckpointLocked();
+    devices_since_checkpoint_ = 0;
+    last_checkpoint_ = std::chrono::steady_clock::now();
+    if (!checkpoint_status_.ok()) {
+      executor_.Cancel();
+    }
+  } else {
+    ++devices_since_checkpoint_;
+  }
+  const size_t progress_step = std::max<size_t>(1, run_size_ / 20);
+  if (config_.verbosity >= 1 && (run_done_ == run_size_ || run_done_ % progress_step == 0 ||
+                                 SecondsSince(last_progress_) >= 2.0)) {
+    last_progress_ = std::chrono::steady_clock::now();
+    const double elapsed = SecondsSince(run_t0_);
+    const double rate = elapsed > 0 ? static_cast<double>(run_done_) / elapsed : 0.0;
+    const double eta = rate > 0 ? static_cast<double>(run_size_ - run_done_) / rate : 0.0;
+    std::fprintf(stderr, "%s: %zu/%zu devices (%.1f devices/s, ETA %.1f s)\n", name_.c_str(),
+                 run_done_, run_size_, rate, eta);
+  }
+}
+
+void DeviceRunner::WriteCheckpointLocked() {
+  FleetCheckpoint cp = build_checkpoint_(completed_);
+  cp.metrics = *metrics_;
+  cp.faults = *faults_;
+  cp.completed = completed_;
+  cp.device_count = config_.device_count;
+  checkpoint_status_ = WriteFleetCheckpoint(config_.checkpoint_path, cp);
+}
+
+Status DeviceRunner::Finish() {
+  std::lock_guard<std::mutex> lock(merge_mu_);
+  if (!config_.checkpoint_path.empty() && checkpoint_status_.ok()) {
+    WriteCheckpointLocked();
+  }
+  if (failed_id_ >= 0) {
+    return Status(failed_status_.code(), StrFormat("device %d: %s", failed_id_,
+                                                   failed_status_.message().c_str()));
+  }
+  RETURN_IF_ERROR(checkpoint_status_);
+  if (aborted_) {
+    return CancelledError(
+        StrFormat("%s cancelled after %d completed device(s) this run "
+                  "(abort_after_devices=%d)",
+                  name_.c_str(), completed_this_run_, config_.abort_after_devices));
+  }
+  return OkStatus();
 }
 
 }  // namespace fleet_internal

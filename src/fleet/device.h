@@ -1,13 +1,17 @@
 // Internal helpers shared by the fleet engine (fleet.cc) and the OTA
 // campaign driver (campaign.cc): per-device seeding, app-name resolution,
-// data-region bookkeeping, and the clone-and-run body that turns a template
-// snapshot into one simulated device's counter deltas. Not part of the
-// public fleet API.
+// data-region bookkeeping, the template boot, the clone-and-run body that
+// turns a template snapshot into one simulated device's counter deltas, and
+// the one device-run driver both use to fan devices out, merge their results
+// and checkpoint. Not part of the public fleet API.
 #ifndef SRC_FLEET_DEVICE_H_
 #define SRC_FLEET_DEVICE_H_
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,8 +19,11 @@
 #include "src/aft/aft.h"
 #include "src/apps/app_sources.h"
 #include "src/common/status.h"
+#include "src/fleet/checkpoint.h"
+#include "src/fleet/executor.h"
 #include "src/fleet/fault_ledger.h"
 #include "src/fleet/fleet.h"
+#include "src/fleet/profile.h"
 #include "src/mcu/machine.h"
 #include "src/os/os.h"
 #include "src/scope/flight_recorder.h"
@@ -68,6 +75,27 @@ struct DataRegions {
     return false;
   }
 };
+
+// One booted template: the firmware build for a cohort's app mix and memory
+// model, the template machine that paid the image load and every on_init
+// dispatch once, and the snapshot every device of the cohort clones from. A
+// homogeneous fleet is one implicit cohort; a campaign boots one template
+// per firmware version.
+struct CohortRuntime {
+  Cohort cohort;  // apps resolved
+  Firmware firmware;
+  DataRegions regions;
+  std::unique_ptr<Machine> machine;
+  std::unique_ptr<AmuletOs> os;
+  MachineSnapshot snapshot;
+  uint64_t firmware_hash = 0;  // FirmwareImageHash of the loadable bytes
+};
+
+// Resolves the cohort's apps, builds its firmware with config.check_opt,
+// and boots and snapshots the template with config's wait states, seed and
+// execution path.
+Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
+                                                  const FleetConfig& config);
 
 // One cloned simulated device: a fresh Machine restored from the template
 // snapshot with this device's sensor identity applied. The campaign driver
@@ -122,6 +150,87 @@ uint64_t BatteryMicroPercent(double percent);
 // produces is merged into the fleet-wide one and discarded, so aggregation
 // memory never grows with device_count.
 void RecordDeviceMetrics(const DeviceStats& stats, MetricRegistry* m);
+
+double SecondsSince(std::chrono::steady_clock::time_point t0);
+
+// The one device-run driver behind RunFleet and RunCampaign. It fans device
+// ids out on an Executor of config.jobs threads and owns everything that
+// happens around one device's body:
+//   - the merge: under one mutex, each successful device's metrics and fault
+//     ledger are merged into the run's registry/ledger and its bit is set in
+//     the completed bitmap. The registry's integer state makes the result
+//     independent of merge order;
+//   - the checkpoint cadence: every config.checkpoint_every_devices devices
+//     or config.checkpoint_every_seconds seconds, plus a final checkpoint in
+//     Finish() on every exit path, so no completed device is ever lost;
+//   - fail-fast: a device error, a checkpoint write error, or reaching
+//     config.abort_after_devices cancels the devices not yet started;
+//     config.fail_device_id injects an InternalError in place of that
+//     device's body;
+//   - progress/ETA lines on stderr at config.verbosity >= 1.
+class DeviceRunner {
+ public:
+  // Simulates device `id`, writing its row into the caller's slot for that
+  // id, and on success records its contribution into *metrics and its faults
+  // into *ledger (both fresh per device).
+  using Body = std::function<Status(int id, MetricRegistry* metrics, FaultLedger* ledger)>;
+  // The caller's part of a checkpoint (kind, identity, template snapshot,
+  // completed rows); the driver adds the merged metrics and ledger, the
+  // completed bitmap and the device count. Called with the merge mutex held.
+  using CheckpointBuilder = std::function<FleetCheckpoint(const std::vector<bool>& completed)>;
+
+  // `name` labels progress lines and the abort_after_devices cancel message
+  // ("fleet run", "campaign"). A non-null `resume` restores its completed
+  // bitmap, metrics and ledger; the caller restores its own rows.
+  DeviceRunner(const FleetConfig& config, std::string name, MetricRegistry* metrics,
+               FaultLedger* faults, CheckpointBuilder build_checkpoint,
+               const FleetCheckpoint* resume);
+
+  int thread_count() const { return executor_.thread_count(); }
+  // Indexed by global device id. Read it between Run() calls only.
+  const std::vector<bool>& completed() const { return completed_; }
+  // True once a device error, checkpoint error or the abort hook stopped the run.
+  bool cancelled() const { return executor_.cancelled(); }
+
+  // Runs `ids` (none already completed) through the body. May be called
+  // repeatedly (the campaign runs one call per stage); a cancelled runner
+  // runs nothing more.
+  void Run(const std::vector<int>& ids, const Body& body);
+
+  // Writes the final checkpoint, then reports the run's outcome: the lowest
+  // failing device id's error, else the checkpoint error, else kCancelled
+  // if the abort hook fired, else OK.
+  Status Finish();
+
+ private:
+  // Merges one finished device; merge_mu_ must be held.
+  void MergeLocked(int id, const Status& status, const MetricRegistry& metrics,
+                   const FaultLedger& ledger);
+  void WriteCheckpointLocked();
+
+  const FleetConfig& config_;
+  const std::string name_;
+  MetricRegistry* metrics_;
+  FaultLedger* faults_;
+  CheckpointBuilder build_checkpoint_;
+  Executor executor_;
+
+  std::mutex merge_mu_;
+  // Everything below is guarded by merge_mu_.
+  std::vector<bool> completed_;
+  int failed_id_ = -1;  // lowest failing device id
+  Status failed_status_;
+  Status checkpoint_status_;
+  int devices_since_checkpoint_ = 0;
+  std::chrono::steady_clock::time_point last_checkpoint_;
+  int completed_this_run_ = 0;
+  bool aborted_ = false;
+  // Progress over the current Run() call.
+  size_t run_size_ = 0;
+  size_t run_done_ = 0;
+  std::chrono::steady_clock::time_point run_t0_;
+  std::chrono::steady_clock::time_point last_progress_;
+};
 
 }  // namespace fleet_internal
 }  // namespace amulet

@@ -1,75 +1,21 @@
 #include "src/fleet/fleet.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "src/aft/aft.h"
-#include "src/apps/app_sources.h"
 #include "src/common/strings.h"
 #include "src/fleet/checkpoint.h"
 #include "src/fleet/device.h"
-#include "src/fleet/executor.h"
-#include "src/os/os.h"
-#include "src/ota/image.h"
 
 namespace amulet {
 
 namespace {
 
 using fleet_internal::ClonedDevice;
-using fleet_internal::DataRegions;
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-// One cohort's boot products: its firmware build, the booted template
-// machine, and the snapshot every device of that cohort clones from. A
-// homogeneous fleet is the degenerate case of exactly one implicit cohort
-// built from config.apps/config.model.
-struct CohortRuntime {
-  Cohort cohort;  // apps resolved; default 1/1/1 activity for the implicit cohort
-  Firmware firmware;
-  DataRegions regions;
-  std::unique_ptr<Machine> machine;
-  std::unique_ptr<AmuletOs> os;
-  MachineSnapshot snapshot;
-  uint64_t firmware_hash = 0;
-};
-
-Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
-                                                  const FleetConfig& config) {
-  auto runtime = std::make_unique<CohortRuntime>();
-  runtime->cohort = cohort;
-  ASSIGN_OR_RETURN(std::vector<AppSource> sources,
-                   fleet_internal::ResolveApps(&runtime->cohort.apps));
-  AftOptions aft;
-  aft.model = cohort.model;
-  aft.optimize_checks = config.check_opt;
-  ASSIGN_OR_RETURN(runtime->firmware, BuildFirmware(sources, aft));
-  runtime->regions = DataRegions::For(runtime->firmware);
-
-  // Template device: pays the image load and every on_init dispatch exactly
-  // once; every device of this cohort starts from its snapshot.
-  runtime->machine = std::make_unique<Machine>();
-  runtime->machine->cpu().set_predecode(config.predecode);
-  OsOptions template_options;
-  template_options.fram_wait_states = config.fram_wait_states;
-  template_options.fault_policy = FaultPolicy::kRestartApp;
-  template_options.sensor_seed = config.fleet_seed;
-  runtime->os =
-      std::make_unique<AmuletOs>(runtime->machine.get(), runtime->firmware, template_options);
-  RETURN_IF_ERROR(runtime->os->Boot());
-  runtime->snapshot = CaptureSnapshot(*runtime->machine);
-  runtime->firmware_hash = FirmwareImageHash(runtime->firmware.image);
-  return runtime;
-}
+using fleet_internal::CohortRuntime;
+using fleet_internal::SecondsSince;
 
 Status RunDevice(int device_id, const FleetConfig& config, const CohortRuntime& cohort,
                  DeviceStats* out, FaultLedger* ledger) {
@@ -204,11 +150,13 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
     Cohort implicit;
     implicit.apps = config.apps;
     implicit.model = config.model;
-    ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> runtime, BootCohort(implicit, config));
+    ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> runtime,
+                     fleet_internal::BootCohort(implicit, config));
     cohorts.push_back(std::move(runtime));
   } else {
     for (const Cohort& cohort : config.profile.cohorts) {
-      ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> runtime, BootCohort(cohort, config));
+      ASSIGN_OR_RETURN(std::unique_ptr<CohortRuntime> runtime,
+                       fleet_internal::BootCohort(cohort, config));
       cohorts.push_back(std::move(runtime));
     }
   }
@@ -294,7 +242,29 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
     report.devices.resize(static_cast<size_t>(config.device_count));
   }
 
-  std::vector<bool> completed(static_cast<size_t>(config.device_count), false);
+  // Snapshot of the run's durable rows; the runner adds the merged state.
+  auto build_checkpoint = [&](const std::vector<bool>& completed) {
+    FleetCheckpoint cp;
+    cp.kind = FleetCheckpointKind::kFleet;
+    cp.config_hash = config_hash;
+    cp.config_text = canonical;
+    cp.template_snapshot = snapshot;
+    cp.shard_index = config.shard_index;
+    cp.shard_count = config.shard_count;
+    cp.profile_hash = profile_hash;
+    cp.profile_text = profile_text;
+    if (retain) {
+      for (int i = 0; i < config.device_count; ++i) {
+        if (completed[static_cast<size_t>(i)]) {
+          cp.devices.push_back(report.devices[static_cast<size_t>(i)]);
+        }
+      }
+    }
+    return cp;
+  };
+  fleet_internal::DeviceRunner runner(config, "fleet run", &report.metrics, &report.faults,
+                                      build_checkpoint, resume);
+  report.config.jobs = runner.thread_count();
   if (resume == nullptr && config.shard_index == 0) {
     // Build-time check counters: phase-2 instructions inserted vs phase-2.5
     // instructions deleted, summed over every cohort's firmware. Recorded
@@ -315,9 +285,6 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
     report.metrics.Add("fleet.checks_elided", checks_elided);
   }
   if (resume != nullptr) {
-    completed = resume->completed;
-    report.metrics = resume->metrics;
-    report.faults = resume->faults;
     report.resumed_devices = resume->CompletedCount();
     if (retain) {
       for (const DeviceStats& d : resume->devices) {
@@ -327,166 +294,30 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
   }
   std::vector<int> pending;
   for (int i = shard_range.lo; i < shard_range.hi; ++i) {
-    if (!completed[static_cast<size_t>(i)]) {
+    if (!runner.completed()[static_cast<size_t>(i)]) {
       pending.push_back(i);
     }
   }
 
-  std::vector<Status> device_status(static_cast<size_t>(config.device_count));
   const auto run_t0 = std::chrono::steady_clock::now();
-
-  // Cross-device state: the merged registry, the completed bitmap, the
-  // checkpoint writer, and progress reporting — all guarded by merge_mu.
-  // Merge order varies with scheduling, but the registry's integer state
-  // makes the result order-independent.
-  const bool checkpointing = !config.checkpoint_path.empty();
-  std::mutex merge_mu;
-  Status checkpoint_status;              // guarded by merge_mu
-  int devices_since_checkpoint = 0;      // guarded by merge_mu
-  auto last_checkpoint = run_t0;         // guarded by merge_mu
-  int completed_this_run = 0;            // guarded by merge_mu
-  bool aborted = false;                  // guarded by merge_mu
-  std::atomic<bool> cancel_requested{false};
-  Executor* executor_ptr = nullptr;  // set before any task is submitted
-
-  // Fail-fast: stops the serial loop and tells the executor to drain its
-  // queue without running the remaining device bodies.
-  auto request_cancel = [&] {
-    cancel_requested.store(true, std::memory_order_relaxed);
-    if (executor_ptr != nullptr) {
-      executor_ptr->Cancel();
-    }
-  };
-
-  // Snapshot of the run's durable state; merge_mu must be held.
-  auto build_checkpoint = [&] {
-    FleetCheckpoint cp;
-    cp.kind = FleetCheckpointKind::kFleet;
-    cp.config_hash = config_hash;
-    cp.config_text = canonical;
-    cp.template_snapshot = snapshot;
-    cp.metrics = report.metrics;
-    cp.faults = report.faults;
-    cp.completed = completed;
-    cp.device_count = config.device_count;
-    cp.shard_index = config.shard_index;
-    cp.shard_count = config.shard_count;
-    cp.profile_hash = profile_hash;
-    cp.profile_text = profile_text;
-    if (retain) {
-      for (int i = 0; i < config.device_count; ++i) {
-        if (completed[static_cast<size_t>(i)]) {
-          cp.devices.push_back(report.devices[static_cast<size_t>(i)]);
-        }
-      }
-    }
-    return cp;
-  };
-
-  std::atomic<int> processed{0};
-  auto last_progress = run_t0;
-  const int progress_step = std::max<int>(1, static_cast<int>(pending.size()) / 20);
-  auto run_one = [&](size_t k) {
-    const int id = pending[k];
+  runner.Run(pending, [&](int id, MetricRegistry* device_metrics, FaultLedger* ledger) {
     DeviceStats local;
     DeviceStats* slot = retain ? &report.devices[static_cast<size_t>(id)] : &local;
-    Status status;
-    FaultLedger device_ledger;
     const int cohort_index =
         config.profile.empty() ? 0
                                : CohortForDevice(resolved_profile, config.fleet_seed, id);
     const CohortRuntime& cohort = *cohorts[static_cast<size_t>(cohort_index)];
-    if (config.fail_device_id == id) {
-      status = InternalError(StrFormat("injected failure on device %d", id));
-    } else {
-      status = RunDevice(id, config, cohort, slot, &device_ledger);
+    RETURN_IF_ERROR(RunDevice(id, config, cohort, slot, ledger));
+    RecordDeviceMetrics(*slot, device_metrics);
+    if (!config.profile.empty()) {
+      // Per-device counter, so cohort sizes merge order-independently
+      // across jobs, resume, and shards.
+      device_metrics->Add("fleet.cohort." + cohort.cohort.name, 1);
     }
-    device_status[static_cast<size_t>(id)] = status;
-    MetricRegistry device_metrics;
-    if (status.ok()) {
-      RecordDeviceMetrics(*slot, &device_metrics);
-      if (!config.profile.empty()) {
-        // Per-device counter, so cohort sizes merge order-independently
-        // across jobs, resume, and shards.
-        device_metrics.Add("fleet.cohort." + cohort.cohort.name, 1);
-      }
-    }
-    const int done = processed.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::lock_guard<std::mutex> lock(merge_mu);
-    if (!status.ok()) {
-      request_cancel();
-      return;
-    }
-    report.metrics.Merge(device_metrics);
-    report.faults.Merge(device_ledger);
-    completed[static_cast<size_t>(id)] = true;
-    ++completed_this_run;
-    if (config.abort_after_devices > 0 && completed_this_run >= config.abort_after_devices &&
-        !aborted) {
-      aborted = true;
-      request_cancel();
-    }
-    if (checkpointing && checkpoint_status.ok() &&
-        (devices_since_checkpoint + 1 >= std::max(1, config.checkpoint_every_devices) ||
-         SecondsSince(last_checkpoint) >= config.checkpoint_every_seconds)) {
-      checkpoint_status = WriteFleetCheckpoint(config.checkpoint_path, build_checkpoint());
-      devices_since_checkpoint = 0;
-      last_checkpoint = std::chrono::steady_clock::now();
-      if (!checkpoint_status.ok()) {
-        request_cancel();
-      }
-    } else {
-      ++devices_since_checkpoint;
-    }
-    if (config.verbosity >= 1 &&
-        (done == static_cast<int>(pending.size()) || done % progress_step == 0 ||
-         SecondsSince(last_progress) >= 2.0)) {
-      last_progress = std::chrono::steady_clock::now();
-      const double elapsed = SecondsSince(run_t0);
-      const double rate = elapsed > 0 ? done / elapsed : 0.0;
-      const double eta = rate > 0 ? (static_cast<int>(pending.size()) - done) / rate : 0.0;
-      std::fprintf(stderr, "fleet: %d/%zu devices (%.1f devices/s, ETA %.1f s)\n", done,
-                   pending.size(), rate, eta);
-    }
-  };
-  if (config.jobs == 1) {
-    report.config.jobs = 1;
-    for (size_t k = 0; k < pending.size(); ++k) {
-      if (cancel_requested.load(std::memory_order_relaxed)) {
-        break;
-      }
-      run_one(k);
-    }
-  } else {
-    Executor executor(config.jobs);
-    executor_ptr = &executor;
-    report.config.jobs = executor.thread_count();
-    executor.ParallelFor(pending.size(), run_one);
-    executor_ptr = nullptr;
-  }
+    return OkStatus();
+  });
   report.run_seconds = SecondsSince(run_t0);
-
-  // Final checkpoint on every exit path — success, device error, abort — so
-  // no completed device's work is ever lost.
-  if (checkpointing && checkpoint_status.ok()) {
-    checkpoint_status = WriteFleetCheckpoint(config.checkpoint_path, build_checkpoint());
-  }
-
-  for (int id : pending) {
-    if (!device_status[static_cast<size_t>(id)].ok()) {
-      const Status& s = device_status[static_cast<size_t>(id)];
-      return Status(s.code(), StrFormat("device %d: %s", id, s.message().c_str()));
-    }
-  }
-  if (!checkpoint_status.ok()) {
-    return checkpoint_status;
-  }
-  if (aborted) {
-    return CancelledError(
-        StrFormat("fleet run cancelled after %d completed device(s) this run "
-                  "(abort_after_devices=%d)",
-                  completed_this_run, config.abort_after_devices));
-  }
+  RETURN_IF_ERROR(runner.Finish());
   if (retain) {
     Aggregate(&report);
   } else {
@@ -622,8 +453,6 @@ std::string RenderFleetReport(const FleetReport& report) {
     }
   }
   if (report.resumed_devices > 0) {
-    const int local_devices =
-        ShardRangeFor(config.device_count, config.shard_index, config.shard_count).size();
     out += StrFormat("resumed: %d device(s) restored from checkpoint, %d simulated\n",
                      report.resumed_devices, local_devices - report.resumed_devices);
   }

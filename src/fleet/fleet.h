@@ -1,7 +1,8 @@
 // Fleet simulation engine: boots one template device per configuration,
 // snapshots its machine after firmware boot, then clones and runs N
-// independent simulated devices in parallel on the work-stealing executor,
-// merging their ARP-style counters into fleet-wide percentiles.
+// independent simulated devices in parallel through the shared device-run
+// driver (src/fleet/device.h) on the parallel-for executor, merging their
+// ARP-style counters into fleet-wide percentiles.
 //
 // Determinism: device i's sensor stream, cohort, and activity mode derive
 // from a splitmix64 mix of (fleet_seed, global device id), every device owns

@@ -133,6 +133,98 @@ TEST(CampaignTest, KillAndResumeReproducesDigest) {
   std::remove(path.c_str());
 }
 
+// The campaign half of the shared fail-fast path: an injected device
+// failure cancels the remaining devices, the checkpoint written on the error
+// path covers exactly the devices before it in rollout order, and resuming
+// without the failure reproduces the uninterrupted digest.
+TEST(CampaignTest, FailedDeviceCancelsRemainingDevices) {
+  const std::string path = "campaign_ckpt_failfast.bin";
+  std::remove(path.c_str());
+  const CampaignConfig base = SmallCampaign(1);
+  const std::vector<int> order =
+      CampaignRolloutOrder(base.fleet.device_count, base.rollout_seed);
+  const int failing_slot = 7;  // inside the last default stage
+  const int failing_id = order[failing_slot];
+
+  CampaignConfig config = base;
+  config.fleet.checkpoint_path = path;
+  config.fleet.checkpoint_every_devices = 1;
+  config.fleet.fail_device_id = failing_id;
+  auto report = RunCampaign(config);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInternal);
+  EXPECT_NE(report.status().message().find("device " + std::to_string(failing_id)),
+            std::string::npos)
+      << report.status().ToString();
+
+  auto cp = ReadFleetCheckpoint(path);
+  ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+  EXPECT_EQ(cp->CompletedCount(), failing_slot);
+
+  CampaignConfig retry = base;
+  retry.fleet.checkpoint_path = path;
+  auto resumed = ResumeCampaign(retry);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->resumed_devices, failing_slot);
+
+  auto uninterrupted = RunCampaign(base);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+  EXPECT_EQ(CampaignDigest(*resumed), CampaignDigest(*uninterrupted));
+  std::remove(path.c_str());
+}
+
+TEST(CampaignTest, FailedDeviceCancelsParallelRun) {
+  CampaignConfig config = SmallCampaign(4);
+  config.fleet.fail_device_id = CampaignRolloutOrder(12, config.rollout_seed)[3];
+  auto report = RunCampaign(config);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInternal);
+}
+
+// The campaign builds both firmware versions with fleet.check_opt, like a
+// plain fleet run. Turning the bound-check optimizer off keeps the checks it
+// would delete, so the image (and the firmware hash the checkpoint pins)
+// changes and the software-model update costs more cycles. The suite apps'
+// elidable checks sit in button handlers the fleet workload never presses,
+// so the extra cycles show up in the bootloader's MAC verification of the
+// larger image.
+TEST(CampaignTest, HonorsCheckOpt) {
+  const std::string path = "campaign_ckpt_check_opt.bin";
+  struct Outcome {
+    std::string from_hash;
+    uint64_t cycles = 0;
+  };
+  auto run = [&](bool check_opt) {
+    std::remove(path.c_str());
+    CampaignConfig config = SmallCampaign(1);
+    config.fleet.apps = {"pedometer", "activity"};
+    config.fleet.model = MemoryModel::kSoftwareOnly;
+    config.fleet.check_opt = check_opt;
+    config.fleet.checkpoint_path = path;
+    Outcome out;
+    auto report = RunCampaign(config);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    if (!report.ok()) {
+      return out;
+    }
+    out.cycles = report->metrics.counter("fleet.cycles") +
+                 report->metrics.counter("campaign.verify_cycles");
+    auto cp = ReadFleetCheckpoint(path);
+    EXPECT_TRUE(cp.ok()) << cp.status().ToString();
+    if (cp.ok()) {
+      const size_t at = cp->config_text.find(";fw=");
+      EXPECT_NE(at, std::string::npos) << cp->config_text;
+      out.from_hash = cp->config_text.substr(at, 4 + 16);
+    }
+    std::remove(path.c_str());
+    return out;
+  };
+  const Outcome optimized = run(true);
+  const Outcome unoptimized = run(false);
+  EXPECT_NE(optimized.from_hash, unoptimized.from_hash);
+  EXPECT_GT(unoptimized.cycles, optimized.cycles);
+}
+
 // Acceptance: a tampered image (payload bit flipped, transport checksums
 // re-fixed by the attacker) decodes cleanly but is rejected by the simulated
 // bootloader on EVERY device — zero devices end up on the bad version.

@@ -5,6 +5,8 @@
 // logical ops) are easy to get subtly wrong.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "src/asm/assembler.h"
 #include "src/common/strings.h"
 #include "src/isa/disassembler.h"
@@ -14,16 +16,29 @@
 namespace amulet {
 namespace {
 
+// CTest names each case after the raw bytes of its parameter (gtest prints a
+// struct without operator<< as a byte dump), so the case structs carry their
+// padding as explicit fields: left to the compiler, those bytes would be
+// whatever the stack held and the names would change from build to build. A
+// few rows pin non-zero padding to keep the names they are tracked under.
 struct AluCase {
+  AluCase(Opcode o, bool b, uint16_t s, uint16_t d, bool cin, uint16_t e, int fc, int fz, int fn,
+          int fv, uint8_t p0 = 0, uint16_t p1 = 0)
+      : op(o), byte(b), src(s), dst_in(d), carry_in(cin), pad0(p0), expect(e), pad1(p1), c(fc),
+        z(fz), n(fn), v(fv) {}
+
   Opcode op;
   bool byte;
   uint16_t src;
   uint16_t dst_in;
   bool carry_in;
+  uint8_t pad0;
   uint16_t expect;
+  uint16_t pad1;
   // Expected flags: -1 = don't care, 0/1 = required value.
   int c, z, n, v;
 };
+static_assert(std::has_unique_object_representations_v<AluCase>, "AluCase has implicit padding");
 
 std::string CaseName(const AluCase& c) {
   return StrFormat("%s%s src=%04x dst=%04x cin=%d", std::string(OpcodeName(c.op)).c_str(),
@@ -67,52 +82,55 @@ TEST_P(AluSemantics, MatchesArchitecture) {
 INSTANTIATE_TEST_SUITE_P(
     Add, AluSemantics,
     ::testing::Values(
-        //       op           byte  src     dst    cin  expect  c  z  n  v
-        AluCase{Opcode::kAdd, false, 0x0001, 0x0001, 0, 0x0002, 0, 0, 0, 0},
-        AluCase{Opcode::kAdd, false, 0xFFFF, 0x0001, 0, 0x0000, 1, 1, 0, 0},
+        //       op           byte  src     dst    cin  expect  c  z  n  v [pad0  pad1]
+        AluCase{Opcode::kAdd, false, 0x0001, 0x0001, 0, 0x0002, 0, 0, 0, 0, 0x00, 0x8B96},
+        AluCase{Opcode::kAdd, false, 0xFFFF, 0x0001, 0, 0x0000, 1, 1, 0, 0, 0xD2, 0x0000},
         AluCase{Opcode::kAdd, false, 0x7FFF, 0x0001, 0, 0x8000, 0, 0, 1, 1},
-        AluCase{Opcode::kAdd, false, 0x8000, 0x8000, 0, 0x0000, 1, 1, 0, 1},
+        AluCase{Opcode::kAdd, false, 0x8000, 0x8000, 0, 0x0000, 1, 1, 0, 1, 0xC2, 0x0000},
         AluCase{Opcode::kAdd, false, 0x1234, 0x0000, 1, 0x1234, 0, 0, 0, 0},  // C_in ignored
-        AluCase{Opcode::kAdd, true, 0x00FF, 0x0001, 0, 0x0000, 1, 1, 0, 0},
-        AluCase{Opcode::kAdd, true, 0x007F, 0x0001, 0, 0x0080, 0, 0, 1, 1},
-        AluCase{Opcode::kAddc, false, 0x0001, 0x0001, 1, 0x0003, 0, 0, 0, 0},
-        AluCase{Opcode::kAddc, false, 0xFFFF, 0x0000, 1, 0x0000, 1, 1, 0, 0},
+        AluCase{Opcode::kAdd, true, 0x00FF, 0x0001, 0, 0x0000, 1, 1, 0, 0, 0xD2, 0x0000},
+        AluCase{Opcode::kAdd, true, 0x007F, 0x0001, 0, 0x0080, 0, 0, 1, 1, 0x00, 0xC229},
+        AluCase{Opcode::kAddc, false, 0x0001, 0x0001, 1, 0x0003, 0, 0, 0, 0, 0x86, 0x45B5},
+        AluCase{Opcode::kAddc, false, 0xFFFF, 0x0000, 1, 0x0000, 1, 1, 0, 0, 0x00, 0x861F},
         AluCase{Opcode::kAddc, true, 0x00FE, 0x0001, 1, 0x0000, 1, 1, 0, 0}));
 
 INSTANTIATE_TEST_SUITE_P(
     Sub, AluSemantics,
     ::testing::Values(
-        AluCase{Opcode::kSub, false, 0x0003, 0x0005, 0, 0x0002, 1, 0, 0, 0},
+        AluCase{Opcode::kSub, false, 0x0003, 0x0005, 0, 0x0002, 1, 0, 0, 0, 0x00, 0xC229},
         AluCase{Opcode::kSub, false, 0x0005, 0x0003, 0, 0xFFFE, 0, 0, 1, 0},  // borrow: C=0
         AluCase{Opcode::kSub, false, 0x0005, 0x0005, 0, 0x0000, 1, 1, 0, 0},
         AluCase{Opcode::kSub, false, 0x0001, 0x8000, 0, 0x7FFF, 1, 0, 0, 1},  // ovf
         AluCase{Opcode::kSub, true, 0x0001, 0x0000, 0, 0x00FF, 0, 0, 1, 0},
-        AluCase{Opcode::kSubc, false, 0x0003, 0x0005, 1, 0x0002, 1, 0, 0, 0},
-        AluCase{Opcode::kSubc, false, 0x0003, 0x0005, 0, 0x0001, 1, 0, 0, 0},
-        AluCase{Opcode::kCmp, false, 0x0003, 0x0005, 0, 0x0000, 1, 0, 0, 0},
-        AluCase{Opcode::kCmp, false, 0x0005, 0x0003, 0, 0x0000, 0, 0, 1, 0},
-        AluCase{Opcode::kCmp, false, 0x8000, 0x7FFF, 0, 0x0000, 0, 0, 1, 1}));
+        AluCase{Opcode::kSubc, false, 0x0003, 0x0005, 1, 0x0002, 1, 0, 0, 0, 0xC2, 0x0000},
+        AluCase{Opcode::kSubc, false, 0x0003, 0x0005, 0, 0x0001, 1, 0, 0, 0, 0x45, 0xD2A7},
+        AluCase{Opcode::kCmp, false, 0x0003, 0x0005, 0, 0x0000, 1, 0, 0, 0, 0x86, 0x45B5},
+        AluCase{Opcode::kCmp, false, 0x0005, 0x0003, 0, 0x0000, 0, 0, 1, 0, 0x00, 0xD2A7},
+        AluCase{Opcode::kCmp, false, 0x8000, 0x7FFF, 0, 0x0000, 0, 0, 1, 1, 0xC2, 0x0000}));
 
 INSTANTIATE_TEST_SUITE_P(
     Logic, AluSemantics,
     ::testing::Values(
         AluCase{Opcode::kAnd, false, 0xF0F0, 0xFF00, 0, 0xF000, 1, 0, 1, 0},
-        AluCase{Opcode::kAnd, false, 0x0F0F, 0xF0F0, 0, 0x0000, 0, 1, 0, 0},  // C = !Z
-        AluCase{Opcode::kBit, false, 0x0001, 0x0003, 0, 0x0000, 1, 0, 0, 0},
-        AluCase{Opcode::kBit, false, 0x0004, 0x0003, 0, 0x0000, 0, 1, 0, 0},
-        AluCase{Opcode::kXor, false, 0xFFFF, 0xFFFF, 0, 0x0000, 0, 1, 0, 1},  // both neg: V
-        AluCase{Opcode::kXor, false, 0xAAAA, 0x5555, 0, 0xFFFF, 1, 0, 1, 0},
-        AluCase{Opcode::kBis, false, 0x00F0, 0x000F, 1, 0x00FF, -1, -1, -1, -1},  // no flags
-        AluCase{Opcode::kBic, false, 0x00F0, 0x00FF, 0, 0x000F, -1, -1, -1, -1},
-        AluCase{Opcode::kAnd, true, 0x00FF, 0x1280, 0, 0x0080, 1, 0, 1, 0}));
+        // C = !Z
+        AluCase{Opcode::kAnd, false, 0x0F0F, 0xF0F0, 0, 0x0000, 0, 1, 0, 0, 0xD2, 0x0000},
+        AluCase{Opcode::kBit, false, 0x0001, 0x0003, 0, 0x0000, 1, 0, 0, 0, 0x00, 0xD2A7},
+        AluCase{Opcode::kBit, false, 0x0004, 0x0003, 0, 0x0000, 0, 1, 0, 0, 0xFF, 0xFFFF},
+        // both neg: V
+        AluCase{Opcode::kXor, false, 0xFFFF, 0xFFFF, 0, 0x0000, 0, 1, 0, 1, 0x00, 0xD2A6},
+        AluCase{Opcode::kXor, false, 0xAAAA, 0x5555, 0, 0xFFFF, 1, 0, 1, 0, 0xD2, 0x0000},
+        // no flags
+        AluCase{Opcode::kBis, false, 0x00F0, 0x000F, 1, 0x00FF, -1, -1, -1, -1, 0x45, 0x0000},
+        AluCase{Opcode::kBic, false, 0x00F0, 0x00FF, 0, 0x000F, -1, -1, -1, -1, 0xD2, 0x0000},
+        AluCase{Opcode::kAnd, true, 0x00FF, 0x1280, 0, 0x0080, 1, 0, 1, 0, 0x00, 0x8B4C}));
 
 INSTANTIATE_TEST_SUITE_P(
     Bcd, AluSemantics,
     ::testing::Values(
-        AluCase{Opcode::kDadd, false, 0x0042, 0x0013, 0, 0x0055, 0, 0, 0, -1},
+        AluCase{Opcode::kDadd, false, 0x0042, 0x0013, 0, 0x0055, 0, 0, 0, -1, 0x00, 0x861F},
         AluCase{Opcode::kDadd, false, 0x0008, 0x0009, 0, 0x0017, 0, 0, 0, -1},
         AluCase{Opcode::kDadd, false, 0x9999, 0x0001, 0, 0x0000, 1, 1, 0, -1},
-        AluCase{Opcode::kDadd, false, 0x0001, 0x0009, 1, 0x0011, 0, 0, 0, -1}));
+        AluCase{Opcode::kDadd, false, 0x0001, 0x0009, 1, 0x0011, 0, 0, 0, -1, 0x8B, 0x0000}));
 
 // BIS/BIC/MOV must preserve flags exactly.
 TEST(FlagPreservationTest, MovBisBicDontTouchSr) {
@@ -140,14 +158,22 @@ TEST(FlagPreservationTest, MovBisBicDontTouchSr) {
 // Format II edge semantics
 // ---------------------------------------------------------------------------
 
+// Padding is explicit for the same reason as in AluCase.
 struct UnaryCase {
+  UnaryCase(Opcode o, bool b, uint16_t i, bool cin, uint16_t e, int fc, int fz, int fn,
+            uint8_t p = 0)
+      : op(o), byte(b), in(i), carry_in(cin), pad(p), expect(e), c(fc), z(fz), n(fn) {}
+
   Opcode op;
   bool byte;
   uint16_t in;
   bool carry_in;
+  uint8_t pad;
   uint16_t expect;
   int c, z, n;
 };
+static_assert(std::has_unique_object_representations_v<UnaryCase>,
+              "UnaryCase has implicit padding");
 
 class UnarySemantics : public ::testing::TestWithParam<UnaryCase> {};
 
@@ -177,17 +203,17 @@ TEST_P(UnarySemantics, MatchesArchitecture) {
 INSTANTIATE_TEST_SUITE_P(
     Shifts, UnarySemantics,
     ::testing::Values(
-        //        op            byte   in     cin  expect  c  z  n
+        //        op            byte   in     cin  expect  c  z  n [pad]
         UnaryCase{Opcode::kRra, false, 0x0005, 0, 0x0002, 1, 0, 0},
         UnaryCase{Opcode::kRra, false, 0x8000, 0, 0xC000, 0, 0, 1},  // keeps sign
         UnaryCase{Opcode::kRra, false, 0x0001, 0, 0x0000, 1, 1, 0},
         UnaryCase{Opcode::kRrc, false, 0x0000, 1, 0x8000, 0, 0, 1},  // C rotates in
         UnaryCase{Opcode::kRrc, false, 0x0001, 0, 0x0000, 1, 1, 0},
         UnaryCase{Opcode::kRrc, true, 0x0001, 1, 0x0080, 1, 0, 1},
-        UnaryCase{Opcode::kSwpb, false, 0xABCD, 0, 0xCDAB, -1, -1, -1},
+        UnaryCase{Opcode::kSwpb, false, 0xABCD, 0, 0xCDAB, -1, -1, -1, 0x80},
         UnaryCase{Opcode::kSxt, false, 0x0080, 0, 0xFF80, 1, 0, 1},
         UnaryCase{Opcode::kSxt, false, 0x007F, 0, 0x007F, 1, 0, 0},
-        UnaryCase{Opcode::kSxt, false, 0x0000, 0, 0x0000, 0, 1, 0}));
+        UnaryCase{Opcode::kSxt, false, 0x0000, 0, 0x0000, 0, 1, 0, 0xAC}));
 
 // ---------------------------------------------------------------------------
 // Byte operations on memory: only the addressed byte changes.

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/aft/aft.h"
@@ -138,42 +140,75 @@ TEST(SnapshotTest, BootFromSnapshotRequiresBootedTemplate) {
   EXPECT_FALSE(clone.BootFromSnapshot(snapshot, not_booted).ok());
 }
 
-TEST(ExecutorTest, RunsEverySubmittedTask) {
-  Executor executor(4);
-  EXPECT_EQ(executor.thread_count(), 4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    executor.Submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  executor.Wait();
-  EXPECT_EQ(counter.load(), 1000);
-
-  // Reusable after Wait().
-  executor.ParallelFor(250, [&counter](size_t) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(counter.load(), 1250);
-}
-
 TEST(ExecutorTest, ParallelForCoversEveryIndexOnce) {
-  Executor executor(8);
-  std::vector<int> hits(513, 0);
-  executor.ParallelFor(hits.size(), [&hits](size_t i) { hits[i] += 1; });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i], 1) << "index " << i;
+  for (int threads : {1, 2, 8}) {
+    Executor executor(threads);
+    EXPECT_EQ(executor.thread_count(), threads);
+    // Empty, fewer indices than threads, and many more; the executor is
+    // reusable across calls.
+    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{513}}) {
+      std::vector<std::atomic<int>> hits(n);
+      executor.ParallelFor(n, [&hits](size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "threads " << threads << ", n " << n << ", index " << i;
+      }
+    }
   }
 }
 
-TEST(ExecutorTest, TasksCanSubmitTasks) {
-  Executor executor(2);
-  std::atomic<int> counter{0};
-  executor.Submit([&] {
-    for (int i = 0; i < 10; ++i) {
-      executor.Submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    }
-  });
-  executor.Wait();
-  EXPECT_EQ(counter.load(), 10);
+TEST(ExecutorTest, CancelFromBodyStopsFurtherIndices) {
+  // Serial: indices run in order, and nothing runs after the cancelling one.
+  {
+    Executor executor(1);
+    std::vector<size_t> ran;
+    executor.ParallelFor(100, [&](size_t i) {
+      ran.push_back(i);
+      if (i == 10) {
+        executor.Cancel();
+      }
+    });
+    EXPECT_TRUE(executor.cancelled());
+    ASSERT_EQ(ran.size(), 11u);
+    EXPECT_EQ(ran.back(), 10u);
+  }
+  // Threaded: bodies already running finish, but the rest of the range is
+  // never claimed, and the cancel is sticky for later calls.
+  {
+    Executor executor(4);
+    std::atomic<int> ran{0};
+    executor.ParallelFor(2000, [&](size_t i) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      if (i == 3) {
+        executor.Cancel();
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    EXPECT_TRUE(executor.cancelled());
+    EXPECT_GE(ran.load(), 4);
+    EXPECT_LT(ran.load(), 2000);
+    const int before = ran.load();
+    executor.ParallelFor(10, [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
+    EXPECT_EQ(ran.load(), before);
+  }
+}
+
+TEST(ExecutorTest, SingleThreadRunsOnCallingThread) {
+  Executor executor(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ids(16);
+  executor.ParallelFor(ids.size(), [&ids](size_t i) { ids[i] = std::this_thread::get_id(); });
+  for (const std::thread::id& id : ids) {
+    EXPECT_EQ(id, caller);
+  }
+}
+
+TEST(ExecutorTest, NonPositiveThreadsSelectDefaultThreadCount) {
+  EXPECT_GE(Executor::DefaultThreadCount(), 1);
+  EXPECT_EQ(Executor().thread_count(), Executor::DefaultThreadCount());
+  EXPECT_EQ(Executor(0).thread_count(), Executor::DefaultThreadCount());
+  EXPECT_EQ(Executor(-3).thread_count(), Executor::DefaultThreadCount());
 }
 
 FleetConfig SmallFleet(int jobs) {
