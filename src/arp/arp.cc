@@ -59,9 +59,10 @@ Result<AppProfile> ProfileApp(const AppSpec& app, MemoryModel model, const ArpOp
   AftOptions aft;
   aft.model = model;
   ASSIGN_OR_RETURN(Firmware fw, BuildFirmware({{app.name, app.source}}, aft));
-  const AppImage& image = fw.apps[0];
-  const uint16_t data_lo = image.data_lo;
-  const uint16_t data_hi = image.data_hi;
+  AddressSet app_data;
+  for (uint32_t addr = fw.apps[0].data_lo; addr < fw.apps[0].data_hi; ++addr) {
+    app_data.set(addr);
+  }
 
   Machine machine;
   OsOptions os_options;
@@ -69,16 +70,8 @@ Result<AppProfile> ProfileApp(const AppSpec& app, MemoryModel model, const ArpOp
   os_options.fault_policy = FaultPolicy::kLogOnly;
   AmuletOs os(&machine, std::move(fw), os_options);
 
-  // Count app-region data traffic per dispatch via the bus observer.
-  uint64_t data_accesses = 0;
-  machine.bus().SetObserver([&](const BusObserverEvent& event) {
-    if (event.kind == AccessKind::kFetch) {
-      return;
-    }
-    if (event.addr >= data_lo && event.addr < data_hi) {
-      ++data_accesses;
-    }
-  });
+  // Count app-region data traffic per dispatch in the bus.
+  machine.bus().CountDataAccesses(&app_data);
 
   RETURN_IF_ERROR(os.Boot());
   os.sensors().set_mode(ActivityMode::kWalking);
@@ -96,7 +89,7 @@ Result<AppProfile> ProfileApp(const AppSpec& app, MemoryModel model, const ArpOp
     for (int sample = 0; sample < options.samples_per_event; ++sample) {
       t_ms += 37;  // vary synthetic inputs
       EventArgs args = ArgsFor(type, &os.sensors(), t_ms);
-      data_accesses = 0;
+      const uint64_t accesses_before = machine.bus().data_accesses();
       ASSIGN_OR_RETURN(AmuletOs::DispatchResult r,
                        os.Deliver(0, type, args.a0, args.a1, args.a2));
       if (r.faulted) {
@@ -105,7 +98,8 @@ Result<AppProfile> ProfileApp(const AppSpec& app, MemoryModel model, const ArpOp
       }
       handler.mean_cycles += static_cast<double>(r.cycles);
       handler.mean_syscalls += static_cast<double>(r.syscalls);
-      handler.mean_data_accesses += static_cast<double>(data_accesses);
+      handler.mean_data_accesses +=
+          static_cast<double>(machine.bus().data_accesses() - accesses_before);
       ++handler.samples;
     }
     if (handler.samples > 0) {

@@ -59,21 +59,12 @@ Result<const AppSpec*> FindSuiteApp(const std::string& name);
 // source. On success `names` holds the resolved list.
 Result<std::vector<AppSource>> ResolveApps(std::vector<std::string>* names);
 
-// App data regions, precomputed once per firmware; the per-device bus
-// observer checks membership on every data access.
+// App data regions, precomputed once per firmware: the address set the bus
+// counts a device's data accesses into (Bus::CountDataAccesses).
 struct DataRegions {
-  std::vector<std::pair<uint16_t, uint16_t>> spans;  // [lo, hi)
+  AddressSet addresses;
 
   static DataRegions For(const Firmware& firmware);
-
-  bool Contains(uint16_t addr) const {
-    for (const auto& [lo, hi] : spans) {
-      if (addr >= lo && addr < hi) {
-        return true;
-      }
-    }
-    return false;
-  }
 };
 
 // One booted template: the firmware build for a cohort's app mix and memory

@@ -69,12 +69,6 @@ void Bus::InvalidateCode(uint16_t addr) {
   }
 }
 
-void Bus::Observe(uint16_t addr, AccessKind kind, bool byte, uint16_t value) {
-  if (observer_) {
-    observer_({addr, kind, byte, value});
-  }
-}
-
 void Bus::AddFramPenalty(uint16_t addr) {
   if (fram_wait_states_ > 0 && IsAnyFram(addr)) {
     penalty_cycles_ += static_cast<uint64_t>(fram_wait_states_);
@@ -85,7 +79,7 @@ uint16_t Bus::ReadWord(uint16_t addr, AccessKind kind) {
   addr &= ~uint16_t{1};
   AddFramPenalty(addr);
   if (mpu_ != nullptr && !mpu_->CheckAccess(addr, kind)) {
-    Observe(addr, kind, false, kRefusedReadValue);
+    CountAccess(addr, kind);
     return kRefusedReadValue;
   }
   if (BusDevice* device = DeviceFor(addr)) {
@@ -94,7 +88,7 @@ uint16_t Bus::ReadWord(uint16_t addr, AccessKind kind) {
       return kRefusedReadValue;
     }
     uint16_t value = device->ReadWord(static_cast<uint16_t>(addr - device->base()));
-    Observe(addr, kind, false, value);
+    CountAccess(addr, kind);
     return value;
   }
   bool writable = false;
@@ -104,7 +98,7 @@ uint16_t Bus::ReadWord(uint16_t addr, AccessKind kind) {
     return kRefusedReadValue;
   }
   uint16_t value = static_cast<uint16_t>(backing[0] | (backing[1] << 8));
-  Observe(addr, kind, false, value);
+  CountAccess(addr, kind);
   return value;
 }
 
@@ -113,11 +107,11 @@ void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
   AddFramPenalty(addr);
   AMULET_PROBE_FLIGHT(flight_, FlightEventKind::kStore, addr, value);
   if (mpu_ != nullptr && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
-    Observe(addr, AccessKind::kWrite, false, value);
+    CountAccess(addr, AccessKind::kWrite);
     return;  // blocked; violation latched in the MPU
   }
   if (BusDevice* device = DeviceFor(addr)) {
-    Observe(addr, AccessKind::kWrite, false, value);
+    CountAccess(addr, AccessKind::kWrite);
     device->WriteWord(static_cast<uint16_t>(addr - device->base()), value);
     return;
   }
@@ -131,7 +125,7 @@ void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
     fault_ = BusFault::kWriteToRom;
     return;
   }
-  Observe(addr, AccessKind::kWrite, false, value);
+  CountAccess(addr, AccessKind::kWrite);
   backing[0] = static_cast<uint8_t>(value & 0xFF);
   backing[1] = static_cast<uint8_t>(value >> 8);
   InvalidateCode(addr);
@@ -140,14 +134,14 @@ void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
 uint8_t Bus::ReadByte(uint16_t addr, AccessKind kind) {
   AddFramPenalty(addr);
   if (mpu_ != nullptr && !mpu_->CheckAccess(addr, kind)) {
-    Observe(addr, kind, true, kRefusedReadValue & 0xFF);
+    CountAccess(addr, kind);
     return kRefusedReadValue & 0xFF;
   }
   if (BusDevice* device = DeviceFor(addr)) {
     uint16_t word = device->ReadWord(static_cast<uint16_t>((addr & ~1) - device->base()));
     uint8_t value = (addr & 1) != 0 ? static_cast<uint8_t>(word >> 8)
                                     : static_cast<uint8_t>(word & 0xFF);
-    Observe(addr, kind, true, value);
+    CountAccess(addr, kind);
     return value;
   }
   bool writable = false;
@@ -156,7 +150,7 @@ uint8_t Bus::ReadByte(uint16_t addr, AccessKind kind) {
     fault_ = BusFault::kUnmapped;
     return kRefusedReadValue & 0xFF;
   }
-  Observe(addr, kind, true, *backing);
+  CountAccess(addr, kind);
   return *backing;
 }
 
@@ -164,7 +158,7 @@ void Bus::WriteByte(uint16_t addr, uint8_t value, AccessKind kind) {
   AddFramPenalty(addr);
   AMULET_PROBE_FLIGHT(flight_, FlightEventKind::kStore, addr, value);
   if (mpu_ != nullptr && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
-    Observe(addr, AccessKind::kWrite, true, value);
+    CountAccess(addr, AccessKind::kWrite);
     return;
   }
   if (BusDevice* device = DeviceFor(addr)) {
@@ -175,7 +169,7 @@ void Bus::WriteByte(uint16_t addr, uint8_t value, AccessKind kind) {
     } else {
       word = static_cast<uint16_t>((word & 0xFF00) | value);
     }
-    Observe(addr, AccessKind::kWrite, true, value);
+    CountAccess(addr, AccessKind::kWrite);
     device->WriteWord(offset, word);
     return;
   }
@@ -189,7 +183,7 @@ void Bus::WriteByte(uint16_t addr, uint8_t value, AccessKind kind) {
     fault_ = BusFault::kWriteToRom;
     return;
   }
-  Observe(addr, AccessKind::kWrite, true, value);
+  CountAccess(addr, AccessKind::kWrite);
   *backing = value;
   InvalidateCode(addr);
 }

@@ -1,13 +1,13 @@
 // The memory bus: routes CPU accesses to RAM/FRAM arrays and peripheral
 // devices, consults the MPU on every protected access, accumulates FRAM
-// wait-state penalty cycles, and exposes an observer hook used by the Amulet
-// Resource Profiler and by tests.
+// wait-state penalty cycles, and counts data accesses into an address set
+// for the Amulet Resource Profiler and the fleet's per-device statistics.
 #ifndef SRC_MCU_BUS_H_
 #define SRC_MCU_BUS_H_
 
 #include <array>
+#include <bitset>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -75,12 +75,8 @@ class MemoryProtection {
   uint32_t config_generation_ = 1;
 };
 
-struct BusObserverEvent {
-  uint16_t addr = 0;
-  AccessKind kind = AccessKind::kRead;
-  bool byte = false;
-  uint16_t value = 0;
-};
+// One bit per byte address of the 64 KiB address space.
+using AddressSet = std::bitset<0x10000>;
 
 class CodeCache;
 
@@ -96,15 +92,17 @@ class Bus {
   // stale entries whenever backing memory changes (architectural writes,
   // pokes, image loads, snapshot restore).
   void SetCodeCache(CodeCache* cache) { code_cache_ = cache; }
-  void SetObserver(std::function<void(const BusObserverEvent&)> observer) {
-    observer_ = std::move(observer);
-  }
-  bool has_observer() const { return static_cast<bool>(observer_); }
+  // Data-access counting (not owned; host wiring, never serialized). While a
+  // set is installed, every data read or write whose address is in it adds
+  // one to data_accesses(): MPU-refused accesses and device-register
+  // accesses included; fetches, unmapped addresses and ROM writes excluded.
+  // Pass nullptr to stop counting. The count itself is never reset; callers
+  // read it as a delta.
+  void CountDataAccesses(const AddressSet* set) { counted_ = set; }
+  uint64_t data_accesses() const { return data_accesses_; }
   // Optional flight recorder (not owned; host wiring, never serialized).
   // Receives one store event per architectural write — including writes the
   // MPU blocks, which are exactly the interesting ones in a fault tail.
-  // Distinct from the observer: ClonedDevice::Run() installs and removes the
-  // observer around every run slice, so it cannot double as a forensic tap.
   void set_flight_recorder(FlightRecorder* recorder) { flight_ = recorder; }
 
   // Wait states added per FRAM access (fetch or data). The FR5969 runs FRAM
@@ -128,13 +126,6 @@ class Bus {
   // fault-free, so the fast path may cache fetched words. Pure.
   bool IsPlainMemory(uint16_t addr) const;
 
-  // Replays an instruction-stream fetch event to the observer without
-  // touching memory; the fast path uses this to keep profiler/test observer
-  // streams bit-identical to the interpreter's.
-  void ObserveFetch(uint16_t addr, uint16_t value) {
-    Observe(addr, AccessKind::kFetch, false, value);
-  }
-
   // CPU-facing accessors. Word addresses have bit 0 ignored (as on the real
   // part). An MPU refusal yields value 0x3FFF on reads and drops writes; the
   // violation is latched in the MPU, not reported here.
@@ -147,7 +138,7 @@ class Bus {
   BusFault fault() const { return fault_; }
   void ClearFault() { fault_ = BusFault::kNone; }
 
-  // Host-side (non-architectural) access: no MPU, no observer, no penalties.
+  // Host-side (non-architectural) access: no MPU, no counting, no penalties.
   // Used by loaders, tests, and the OS to implement services.
   uint8_t PeekByte(uint16_t addr) const;
   void PokeByte(uint16_t addr, uint8_t value);
@@ -156,7 +147,7 @@ class Bus {
   Status LoadImage(uint16_t base, const std::vector<uint8_t>& bytes);
 
   // Snapshot support: memory image + bus bookkeeping. Wiring (devices, MPU,
-  // observer) is reconstructed by the owning Machine, not serialized.
+  // counting set) is reconstructed by the owning Machine, not serialized.
   void SaveState(SnapshotWriter& w) const;
   void LoadState(SnapshotReader& r);
 
@@ -165,7 +156,11 @@ class Bus {
   // address belongs to a device/hole.
   uint8_t* BackingFor(uint16_t addr, AccessKind kind, bool* writable);
   BusDevice* DeviceFor(uint16_t addr);
-  void Observe(uint16_t addr, AccessKind kind, bool byte, uint16_t value);
+  void CountAccess(uint16_t addr, AccessKind kind) {
+    if (counted_ != nullptr && kind != AccessKind::kFetch && (*counted_)[addr]) {
+      ++data_accesses_;
+    }
+  }
   void AddFramPenalty(uint16_t addr);
 
   // Invalidates code-cache entries covering `addr` (no-op when no cache is
@@ -177,7 +172,8 @@ class Bus {
   MemoryProtection* mpu_ = nullptr;
   CodeCache* code_cache_ = nullptr;
   FlightRecorder* flight_ = nullptr;
-  std::function<void(const BusObserverEvent&)> observer_;
+  const AddressSet* counted_ = nullptr;
+  uint64_t data_accesses_ = 0;
   BusFault fault_ = BusFault::kNone;
   int fram_wait_states_ = 0;
   uint64_t penalty_cycles_ = 0;

@@ -1,11 +1,11 @@
 // Predecoded-instruction cache for the fast simulator core.
 //
 // One direct-mapped entry per 16-bit word address (32768 slots covering the
-// whole address space), each holding the dense PredecodedInsn record plus the
-// raw fetched words (for bus-observer replay) and cached fetch-permission
-// state. Entries are validated lazily by Cpu::StepFast() and killed by the
-// bus whenever backing memory changes: architectural writes (self-modifying
-// code, OTA bank writes), host-side pokes, image loads, and snapshot restore.
+// whole address space), each holding the dense PredecodedInsn record plus
+// its cached fetch permission and FRAM word count. Entries are validated
+// lazily by Cpu::StepFast() and killed by the bus whenever backing memory
+// changes: architectural writes (self-modifying code, OTA bank writes),
+// host-side pokes, image loads, and snapshot restore.
 //
 // The cache is derived state. It is deliberately excluded from snapshot
 // serialization (src/mcu/snapshot.h) so fleet cloning stays O(memcpy);
@@ -38,8 +38,6 @@ class CodeCache {
     bool slow_only = false;
     // How many of the fetched words live in FRAM (wait-state penalties).
     uint8_t fram_words = 0;
-    // Raw stream words, for replaying bus-observer fetch events.
-    uint16_t raw[3] = {0, 0, 0};
     PredecodedInsn pd;
   };
 

@@ -415,9 +415,8 @@ StepResult Cpu::Step() {
   }
 
   const uint16_t insn_addr = reg(Reg::kPc);
-  if (trace_ != nullptr) {
-    trace_->Record(insn_addr);
-  }
+  recent_pcs_[pcs_recorded_ & (kRecentPcs - 1)] = insn_addr;
+  ++pcs_recorded_;
   if ((insn_addr & 1) != 0) {
     halt_reason_ = HaltReason::kOddPc;
     halt_pc_ = insn_addr;
@@ -726,10 +725,10 @@ bool Cpu::FillEntry(uint16_t addr, CodeCache::Entry* entry) {
   if (!bus_->IsPlainMemory(addr)) {
     return false;
   }
-  entry->raw[0] = bus_->PeekWord(addr);
-  entry->raw[1] = bus_->PeekWord(static_cast<uint16_t>(addr + 2));
-  entry->raw[2] = bus_->PeekWord(static_cast<uint16_t>(addr + 4));
-  PredecodeInto(addr, entry->raw, &entry->pd);
+  const uint16_t words[3] = {bus_->PeekWord(addr),
+                             bus_->PeekWord(static_cast<uint16_t>(addr + 2)),
+                             bus_->PeekWord(static_cast<uint16_t>(addr + 4))};
+  PredecodeInto(addr, words, &entry->pd);
   entry->slow_only = false;
   entry->fram_words = IsAnyFram(addr) ? 1 : 0;
   for (int i = 1; i < entry->pd.length_words; ++i) {
@@ -795,21 +794,13 @@ StepResult Cpu::StepFast(uint16_t insn_addr) {
 
   bus_->ClearFault();
 
-  // Replay the fetch stream's observable side effects without touching
+  // Replay the fetch stream's only observable side effect without touching
   // memory: FRAM wait-state penalties into the bus accumulator (recomputed
-  // per step -- the wait-state setting can change at runtime), then observer
-  // fetch events with the cached word values (invalidation guarantees they
-  // equal memory). An invalid opcode only ever fetched its first word.
-  const int fetch_words = pd.cls == InsnClass::kInvalid ? 1 : pd.length_words;
+  // per step -- the wait-state setting can change at runtime).
   const int wait_states = bus_->fram_wait_states();
   if (wait_states > 0 && entry->fram_words > 0) {
     bus_->AddPenaltyCycles(static_cast<uint64_t>(entry->fram_words) *
                            static_cast<uint64_t>(wait_states));
-  }
-  if (bus_->has_observer()) {
-    for (int i = 0; i < fetch_words; ++i) {
-      bus_->ObserveFetch(static_cast<uint16_t>(insn_addr + 2 * i), entry->raw[i]);
-    }
   }
 
   if (pd.cls == InsnClass::kInvalid) {
@@ -852,6 +843,16 @@ StepResult Cpu::StepFast(uint16_t insn_addr) {
     return StepResult::kStopped;
   }
   return StepResult::kOk;
+}
+
+std::vector<uint16_t> Cpu::recent_pcs() const {
+  const uint64_t n = pcs_recorded_ < kRecentPcs ? pcs_recorded_ : kRecentPcs;
+  std::vector<uint16_t> out;
+  out.reserve(n);
+  for (uint64_t i = pcs_recorded_ - n; i < pcs_recorded_; ++i) {
+    out.push_back(recent_pcs_[i & (kRecentPcs - 1)]);
+  }
+  return out;
 }
 
 Cpu::RunOutcome Cpu::Run(uint64_t max_cycles) {

@@ -8,14 +8,15 @@
 //     the baseline for differential testing (set_predecode(false)).
 //   * StepFast() -- the default: executes dense PredecodedInsn records from
 //     a CodeCache keyed by word address, replaying the interpreter's
-//     observable side effects (FRAM wait states, observer fetch events,
-//     cycle attribution) bit-identically. Falls back to StepSlow() whenever
-//     a fetch would touch device space or the MPU would refuse it.
+//     observable side effects (FRAM wait states, cycle attribution)
+//     bit-identically. Falls back to StepSlow() whenever a fetch would
+//     touch device space or the MPU would refuse it.
 #ifndef SRC_MCU_CPU_H_
 #define SRC_MCU_CPU_H_
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "src/isa/instruction.h"
 #include "src/isa/predecode.h"
@@ -23,7 +24,6 @@
 #include "src/mcu/code_cache.h"
 #include "src/mcu/signals.h"
 #include "src/mcu/timer.h"
-#include "src/mcu/trace.h"
 #include "src/mcu/watchdog.h"
 
 namespace amulet {
@@ -56,7 +56,10 @@ class Cpu {
   // (FRAM is non-volatile; this mirrors a PUC, not a power cycle).
   void Reset();
 
-  StepResult Step();
+  // Step(), StepFast() and Run() are aligned so that code-size changes
+  // elsewhere in the binary cannot shift the hot loop against cache lines
+  // (optimized builds inline Step() into Run()).
+  __attribute__((aligned(64))) StepResult Step();
 
   struct RunOutcome {
     StepResult result = StepResult::kOk;  // kOk means the cycle budget ran out
@@ -64,7 +67,7 @@ class Cpu {
     uint16_t stop_code = 0;               // valid when result == kStopped
   };
   // Executes until STOP / halt / PUC or until `max_cycles` elapse.
-  RunOutcome Run(uint64_t max_cycles);
+  __attribute__((aligned(64))) RunOutcome Run(uint64_t max_cycles);
 
   uint16_t reg(Reg r) const { return regs_[RegIndex(r)]; }
   void set_reg(Reg r, uint16_t value) {
@@ -74,8 +77,15 @@ class Cpu {
   uint16_t sp() const { return reg(Reg::kSp); }
   uint16_t sr() const { return reg(Reg::kSr); }
 
-  // Optional execution trace (not owned); records each retired instruction.
-  void set_trace(ExecutionTrace* trace) { trace_ = trace; }
+  // The last kRecentPcs instruction addresses Step() started executing,
+  // oldest first (fewer until that many have run). Recorded before the
+  // odd-PC check, so a wild jump's target is the newest entry; idle ticks
+  // and interrupt accepts are not recorded. Host-side forensics: never
+  // serialized, and kept across Reset() (a PUC) so a fault record shows the
+  // run-up to the reset. AmuletOS clears it at boot.
+  static constexpr size_t kRecentPcs = 16;  // a power of two: mask wrap
+  std::vector<uint16_t> recent_pcs() const;
+  void ClearRecentPcs() { pcs_recorded_ = 0; }
   // Optional cycle-attribution profiler (not owned); every retired
   // instruction's full cost (ISA cycles + FRAM penalties), every idle tick,
   // and every interrupt accept is attributed to the region map. The hook in
@@ -97,6 +107,9 @@ class Cpu {
   bool predecode_enabled() const { return predecode_enabled_; }
 
   uint64_t cycle_count() const { return cycles_; }
+  // Stable address of the cycle counter, for host-side timestamping (the
+  // flight recorder) without a call per event.
+  const uint64_t* cycle_counter() const { return &cycles_; }
   uint64_t instruction_count() const { return instructions_; }
   // Predecode-cache effectiveness counters (host-side; never digested).
   const CodeCache::Stats& code_cache_stats() const { return cache_.stats(); }
@@ -104,7 +117,7 @@ class Cpu {
   uint16_t halt_pc() const { return halt_pc_; }
 
   // Snapshot support: architectural registers and counters. The bus/timer/
-  // trace/watchdog wiring is not serialized.
+  // watchdog wiring and the recent-PC ring are not serialized.
   void SaveState(SnapshotWriter& w) const;
   void LoadState(SnapshotReader& r);
 
@@ -127,7 +140,7 @@ class Cpu {
   StepResult StepSlow(uint16_t insn_addr);
   // Cache-driven body; defers to StepSlow() for anything it cannot replay
   // bit-identically (device-space fetches, MPU-refused fetches).
-  StepResult StepFast(uint16_t insn_addr);
+  __attribute__((aligned(64))) StepResult StepFast(uint16_t insn_addr);
   // Predecodes the instruction at `addr` into `entry`. Returns false (entry
   // left invalid) when the first word is not plain cacheable memory.
   bool FillEntry(uint16_t addr, CodeCache::Entry* entry);
@@ -166,7 +179,6 @@ class Cpu {
   Bus* bus_;
   Timer* timer_;
   McuSignals* signals_;
-  ExecutionTrace* trace_ = nullptr;
   CycleProfiler* profiler_ = nullptr;
   Watchdog* watchdog_ = nullptr;
   FlightRecorder* flight_ = nullptr;
@@ -176,6 +188,8 @@ class Cpu {
   HaltReason halt_reason_ = HaltReason::kNone;
   uint16_t halt_pc_ = 0;
   bool predecode_enabled_ = true;
+  std::array<uint16_t, kRecentPcs> recent_pcs_{};
+  uint64_t pcs_recorded_ = 0;  // since the last ClearRecentPcs()
   // Derived state: never serialized (snapshots stay O(memcpy)); the bus
   // invalidates entries whenever backing memory changes.
   CodeCache cache_;

@@ -75,9 +75,10 @@ class Machine {
   void AttachFlightRecorder(FlightRecorder* recorder);
 
   // Serializes the complete machine state (memory, CPU, peripherals,
-  // signals) into `w`. Host-side wiring — the HOSTIO syscall handler, bus
-  // observer, and execution trace — is not part of machine state and must be
-  // reattached by the owner after a restore.
+  // signals) into `w`. Host-side wiring — the HOSTIO syscall handler and the
+  // bus's data-access counting set — is not part of machine state and must
+  // be reattached by the owner after a restore; the CPU's recent-PC ring is
+  // not saved either.
   void SaveState(SnapshotWriter& w) const;
   Status LoadState(SnapshotReader& r);
 

@@ -6,21 +6,6 @@
 
 namespace amulet {
 
-std::vector<uint16_t> ExecutionTrace::Recent() const {
-  std::vector<uint16_t> out;
-  out.reserve(recorded_);
-  // The oldest entry sits at next_ when the ring is full, else at 0.
-  size_t start = recorded_ == ring_.size() ? next_ : 0;
-  for (size_t i = 0; i < recorded_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::string RenderTrace(const ExecutionTrace& trace, const Bus& bus) {
-  return RenderTrace(trace.Recent(), bus);
-}
-
 std::string RenderTrace(const std::vector<uint16_t>& pcs, const Bus& bus) {
   std::string out;
   for (uint16_t pc : pcs) {

@@ -1,7 +1,6 @@
-// Execution trace: a fixed-depth ring of recently executed instruction
-// addresses, rendered as disassembly on demand. AmuletOS attaches one to the
-// CPU and includes the tail in fault records, giving embedded-style "crash
-// dump" forensics without a debugger.
+// Crash-dump rendering of an instruction-address list (the CPU's recent-PC
+// ring, FaultRecord::recent_pcs) as disassembly — embedded-style forensics
+// without a debugger.
 #ifndef SRC_MCU_TRACE_H_
 #define SRC_MCU_TRACE_H_
 
@@ -13,50 +12,8 @@
 
 namespace amulet {
 
-class ExecutionTrace {
- public:
-  explicit ExecutionTrace(size_t depth = 16) : ring_(depth == 0 ? 1 : depth, 0) {}
-
-  void Record(uint16_t pc) {
-    ring_[next_] = pc;
-    next_ = (next_ + 1) % ring_.size();
-    if (recorded_ < ring_.size()) {
-      ++recorded_;
-    }
-    ++total_;
-    ++since_clear_;
-  }
-
-  // Empties the ring. Lifetime counters survive (total_recorded keeps
-  // counting across Clear() by design — it answers "how many instructions
-  // has this trace ever seen"); the since-clear counter restarts at 0.
-  void Clear() {
-    next_ = 0;
-    recorded_ = 0;
-    since_clear_ = 0;
-  }
-
-  // Oldest-to-newest addresses currently in the ring.
-  std::vector<uint16_t> Recent() const;
-
-  // Instructions recorded over the trace's whole lifetime (never reset).
-  uint64_t total_recorded() const { return total_; }
-  // Instructions recorded since the last Clear() (or construction).
-  uint64_t recorded_since_clear() const { return since_clear_; }
-  size_t depth() const { return ring_.size(); }
-
- private:
-  std::vector<uint16_t> ring_;
-  size_t next_ = 0;
-  size_t recorded_ = 0;
-  uint64_t total_ = 0;
-  uint64_t since_clear_ = 0;
-};
-
-// Renders the trace tail as "  0x4412: mov #1, r10" lines, reading the
-// instruction bytes back from memory (best effort: memory may have moved on).
-std::string RenderTrace(const ExecutionTrace& trace, const Bus& bus);
-// Same rendering for a raw PC list (e.g. FaultRecord::recent_pcs).
+// Renders `pcs` as "    0x4412: mov #1, r10" lines, reading the instruction
+// bytes back from memory (best effort: memory may have moved on).
 std::string RenderTrace(const std::vector<uint16_t>& pcs, const Bus& bus);
 
 }  // namespace amulet

@@ -4,6 +4,7 @@
 
 #include "src/common/strings.h"
 #include "src/mcu/mpu.h"
+#include "src/mcu/trace.h"
 #include "src/scope/firmware_map.h"
 #include "src/scope/probe.h"
 #include "src/scope/tracer.h"
@@ -107,10 +108,7 @@ AmuletOs::AmuletOs(Machine* machine, Firmware firmware, OsOptions options)
 
 Status AmuletOs::Boot() {
   machine_->bus().set_fram_wait_states(options_.fram_wait_states);
-  if (options_.trace_depth > 0) {
-    trace_ = ExecutionTrace(static_cast<size_t>(options_.trace_depth));
-    machine_->cpu().set_trace(&trace_);
-  }
+  machine_->cpu().ClearRecentPcs();
   LoadImage(firmware_.image, &machine_->bus());
   // Fault attribution support. The map is immutable per firmware and shared
   // with every BootFromSnapshot() clone; the code-range list filters the
@@ -156,10 +154,7 @@ Status AmuletOs::BootFromSnapshot(const MachineSnapshot& snapshot, const AmuletO
   }
   RETURN_IF_ERROR(RestoreSnapshot(snapshot, machine_));
   machine_->bus().set_fram_wait_states(options_.fram_wait_states);
-  if (options_.trace_depth > 0) {
-    trace_ = ExecutionTrace(static_cast<size_t>(options_.trace_depth));
-    machine_->cpu().set_trace(&trace_);
-  }
+  machine_->cpu().ClearRecentPcs();
   machine_->hostio().SetSyscallHandler(
       [this](const SyscallRequest& request) { return HandleSyscall(request); });
   region_map_ = booted.region_map_;
@@ -534,14 +529,12 @@ void AmuletOs::CaptureForensics(FaultRecord* record, uint16_t pc_hint) {
   for (int i = 0; i < kNumRegisters; ++i) {
     record->regs[static_cast<size_t>(i)] = cpu.reg(static_cast<Reg>(i));
   }
-  if (options_.trace_depth > 0) {
-    record->recent_pcs = trace_.Recent();
-  }
+  record->recent_pcs = cpu.recent_pcs();
 
   // Faulting PC: by the time the fault surfaces, the live PC sits in the
   // fault stub (software checks) or past the NMI veneer (MPU), so walk the
-  // trace newest-to-oldest for the last instruction attributed to app code.
-  // Fallbacks keep the field meaningful with tracing disabled.
+  // recent PCs newest-to-oldest for the last instruction attributed to app
+  // code. Fallbacks keep the field meaningful when none is.
   uint16_t pc = pc_hint;
   if (pc == 0) {
     pc = cpu.pc();

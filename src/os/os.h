@@ -16,7 +16,6 @@
 #include "src/aft/aft.h"
 #include "src/common/status.h"
 #include "src/mcu/machine.h"
-#include "src/mcu/trace.h"
 #include "src/os/api.h"
 #include "src/os/sensors.h"
 #include "src/scope/flight_recorder.h"
@@ -34,8 +33,6 @@ enum class FaultPolicy : uint8_t {
 
 struct OsOptions {
   int fram_wait_states = 1;
-  // Depth of the per-fault instruction trace (0 disables tracing).
-  int trace_depth = 16;
   uint64_t handler_cycle_budget = 20'000'000;  // runaway-handler cut-off
   FaultPolicy fault_policy = FaultPolicy::kRestartApp;
   uint32_t sensor_seed = 20180711;
@@ -69,9 +66,9 @@ struct FaultRecord {
   std::string description;
 
   FaultKind kind = FaultKind::kUnknown;
-  // The app instruction nearest the fault: the newest execution-trace entry
+  // The app instruction nearest the fault: the newest recent_pcs entry
   // attributed to app code (check sequences and fault stubs are skipped), or
-  // the live PC when no trace is attached. (kind, pc, scope) is the fleet
+  // the live PC when there is none. (kind, pc, scope) is the fleet
   // crash-bucket signature.
   uint16_t pc = 0;
   RegionTag scope = RegionTag::kOther;  // region of `pc` via the RegionMap
@@ -79,7 +76,7 @@ struct FaultRecord {
   // Plausible return addresses found by scanning the stack upward from SP
   // (innermost first). Heuristic, like a debugger's raw backtrace.
   std::vector<uint16_t> call_stack;
-  // Raw PCs of the last few retired instructions (oldest first).
+  // Raw PCs of the CPU's last Cpu::kRecentPcs instructions (oldest first).
   std::vector<uint16_t> recent_pcs;
   // Flight-recorder tail at fault time (oldest first); empty when no
   // recorder is attached or the build has AMULET_SCOPE=OFF.
@@ -176,8 +173,8 @@ class AmuletOs {
   uint16_t HandleSyscall(const SyscallRequest& request);
   Status HandleFault(int app_index, bool from_mpu, uint16_t code, uint16_t addr);
   // Fills the v2 forensic fields (registers, faulting PC + scope, call
-  // stack, trace tail, flight tail) from live machine state. `pc_hint` is
-  // used instead of the trace walk when nonzero (CPU-crash records pin the
+  // stack, recent PCs, flight tail) from live machine state. `pc_hint` is
+  // used instead of the recent-PC walk when nonzero (CPU-crash records pin the
   // halt PC).
   void CaptureForensics(FaultRecord* record, uint16_t pc_hint);
   Status RestartApp(int app_index);
@@ -226,7 +223,6 @@ class AmuletOs {
   std::vector<LogEntry> log_;
   bool booted_ = false;
   bool in_restart_ = false;
-  ExecutionTrace trace_{16};
 };
 
 }  // namespace amulet

@@ -23,13 +23,14 @@ const char* FlightEventKindName(FlightEventKind kind) {
 }
 
 std::vector<FlightEvent> FlightRecorder::Tail(size_t max_events) const {
-  const size_t n = max_events < recorded_ ? max_events : recorded_;
+  uint64_t n = recorded_ < kCapacity ? recorded_ : kCapacity;
+  if (max_events < n) {
+    n = max_events;
+  }
   std::vector<FlightEvent> out;
   out.reserve(n);
-  // next_ points at the oldest slot once the ring is full; walk the last n.
-  const size_t start = (next_ + ring_.size() - n) % ring_.size();
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+  for (uint64_t i = recorded_ - n; i < recorded_; ++i) {
+    out.push_back(ring_[i & (kCapacity - 1)]);
   }
   return out;
 }

@@ -1,4 +1,4 @@
-// Per-device flight recorder: a fixed-capacity ring of compact machine
+// Per-device flight recorder: a fixed 128-entry ring of compact machine
 // events (taken branches, data stores, MPU configuration writes, syscalls,
 // host-IO strobes, interrupt accepts) fed by the AMULET_PROBE_FLIGHT probe
 // points in Cpu/Bus/Mpu/HostIo. The ring is written on the hot path and only
@@ -12,8 +12,9 @@
 #ifndef SRC_SCOPE_FLIGHT_RECORDER_H_
 #define SRC_SCOPE_FLIGHT_RECORDER_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,47 +44,28 @@ struct FlightEvent {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(size_t capacity = kDefaultCapacity)
-      : ring_(capacity == 0 ? 1 : capacity) {}
+  static constexpr size_t kCapacity = 128;  // a power of two: mask wrap
 
   // Timestamp source; normally the CPU cycle counter, wired by
   // Machine::AttachFlightRecorder. Events record 0 cycles until set.
-  void set_clock(std::function<uint64_t()> clock) { clock_ = std::move(clock); }
+  void set_clock(const uint64_t* cycles) { clock_ = cycles; }
 
   void Record(FlightEventKind kind, uint16_t a, uint16_t b) {
-    FlightEvent& e = ring_[next_];
-    e.cycles = clock_ ? clock_() : 0;
+    FlightEvent& e = ring_[recorded_ & (kCapacity - 1)];
+    e.cycles = clock_ != nullptr ? *clock_ : 0;
     e.a = a;
     e.b = b;
     e.kind = kind;
-    next_ = (next_ + 1) % ring_.size();
-    if (recorded_ < ring_.size()) {
-      ++recorded_;
-    }
-    ++total_;
+    ++recorded_;
   }
 
   // The newest `max_events` events, oldest first.
   std::vector<FlightEvent> Tail(size_t max_events) const;
 
-  void Clear() {
-    next_ = 0;
-    recorded_ = 0;
-  }
-
-  // Events recorded over the recorder's whole lifetime (survives Clear()).
-  uint64_t total_recorded() const { return total_; }
-  size_t size() const { return recorded_; }
-  size_t capacity() const { return ring_.size(); }
-
-  static constexpr size_t kDefaultCapacity = 128;
-
  private:
-  std::vector<FlightEvent> ring_;
-  size_t next_ = 0;
-  size_t recorded_ = 0;
-  uint64_t total_ = 0;
-  std::function<uint64_t()> clock_;
+  std::array<FlightEvent, kCapacity> ring_{};
+  uint64_t recorded_ = 0;
+  const uint64_t* clock_ = nullptr;
 };
 
 // One-line human rendering: "  [    1234] branch 0xf012 -> 0xf100".

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/mcu/machine.h"
 #include "src/mcu/memory_map.h"
 #include "src/mcu/trace.h"
@@ -739,69 +741,160 @@ TEST(MachineTest, RunHandlesBudget) {
 
 
 // ---------------------------------------------------------------------------
-// Execution trace
+// Bus data-access counting (the ARP / fleet `data_accesses` figure)
+// ---------------------------------------------------------------------------
+
+AddressSet SetOf(uint32_t lo, uint32_t hi) {
+  AddressSet set;
+  for (uint32_t a = lo; a < hi; ++a) {
+    set.set(a);
+  }
+  return set;
+}
+
+// Runs `source` on a fresh machine (fast core or interpreter) while counting
+// the data accesses that land in `set`; returns the count.
+uint64_t CountWhileRunning(const std::string& source, const AddressSet& set, bool predecode) {
+  Machine m;
+  m.cpu().set_predecode(predecode);
+  AssembleAndLoad(&m, source);
+  m.bus().CountDataAccesses(&set);
+  m.Run(50000);
+  return m.bus().data_accesses();
+}
+
+TEST(BusCountTest, WordAndByteAccessesInsideSetCountOnceEach) {
+  const AddressSet set = SetOf(0x7000, 0x7008);
+  for (bool predecode : {true, false}) {
+    EXPECT_EQ(CountWhileRunning("start:\n"
+                                "  mov &0x7000, r4\n"    // word read
+                                "  mov r4, &0x7002\n"    // word write
+                                "  mov.b &0x7004, r5\n"  // byte read
+                                "  mov.b r5, &0x7005\n"  // byte write
+                                "  add #1, &0x7006\n"    // read + write
+                                + std::string(kStop),
+                                set, predecode),
+              6u)
+        << "predecode=" << predecode;
+  }
+}
+
+TEST(BusCountTest, FetchesNeverCount) {
+  // The set covers the whole program; only instruction fetches touch it.
+  const AddressSet set = SetOf(kFramStart, kFramStart + 0x100);
+  for (bool predecode : {true, false}) {
+    EXPECT_EQ(CountWhileRunning("start:\n"
+                                "  mov #0x1234, r4\n"
+                                "  add r4, r5\n"
+                                "  mov &0x7000, r6\n"  // data read outside the set
+                                + std::string(kStop),
+                                set, predecode),
+              0u)
+        << "predecode=" << predecode;
+  }
+}
+
+TEST(BusCountTest, MpuRefusedReadAndWriteCount) {
+  // Seg3 = [0xA000, ...) is no-access: both halves of the move are refused.
+  const AddressSet set = SetOf(0xB000, 0xB004);
+  for (bool predecode : {true, false}) {
+    Machine m;
+    m.cpu().set_predecode(predecode);
+    AssembleAndLoad(&m, std::string(kMpuRegs) +
+                            "start:\n"
+                            "  mov #0x2400, sp\n"
+                            "  mov #nmi, &0xFFFC\n"
+                            "  mov #0x0800, &MPUSEGB1\n"
+                            "  mov #0x0A00, &MPUSEGB2\n"
+                            "  mov #0x0034, &MPUSAM\n"
+                            "  mov #0xA501, &MPUCTL0\n"
+                            "  mov &0xB000, &0xB002\n" +
+                            std::string(kStop) +
+                            "nmi:\n"
+                            "  mov #3, &0x0710\n");
+    m.bus().CountDataAccesses(&set);
+    auto out = m.Run(50000);
+    EXPECT_EQ(out.stop_code, 3);
+    EXPECT_TRUE(m.mpu().violation_flags() & kMpuSeg3Ifg);
+    EXPECT_EQ(m.bus().data_accesses(), 2u) << "predecode=" << predecode;
+  }
+}
+
+TEST(BusCountTest, OutsideSetAndCountingOffDoNotCount) {
+  const std::string program = "start:\n"
+                              "  mov &0x7000, r4\n"
+                              "  mov r4, &0x7002\n"
+                              "  mov.b r4, &0x7004\n" +
+                              std::string(kStop);
+  const AddressSet elsewhere = SetOf(0x7100, 0x7200);
+  EXPECT_EQ(CountWhileRunning(program, elsewhere, true), 0u);
+
+  // Counting switched off before the run: the count does not move.
+  const AddressSet set = SetOf(0x7000, 0x7008);
+  Machine m;
+  AssembleAndLoad(&m, program);
+  m.bus().CountDataAccesses(&set);
+  m.bus().CountDataAccesses(nullptr);
+  m.Run(50000);
+  EXPECT_EQ(m.bus().data_accesses(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Recent-PC ring (fault forensics)
 // ---------------------------------------------------------------------------
 
 TEST(TraceTest, RecordsRecentPcsOldestFirst) {
-  ExecutionTrace trace(4);
-  for (uint16_t pc = 0x4400; pc < 0x4410; pc += 2) {
-    trace.Record(pc);
+  Machine m;
+  std::string program = "start:\n";
+  for (int i = 0; i < 20; ++i) {
+    program += "  nop\n";
   }
-  auto recent = trace.Recent();
-  ASSERT_EQ(recent.size(), 4u);
-  EXPECT_EQ(recent[0], 0x4408);
-  EXPECT_EQ(recent[3], 0x440E);
-  EXPECT_EQ(trace.total_recorded(), 8u);
+  RunAsm(&m, program + kStop);
+  // Twenty one-word NOPs, then the STOP store at +40 is the newest entry.
+  const std::vector<uint16_t> recent = m.cpu().recent_pcs();
+  ASSERT_EQ(recent.size(), Cpu::kRecentPcs);
+  for (size_t i = 0; i < recent.size(); ++i) {
+    EXPECT_EQ(recent[i], kFramStart + 40 - 2 * (Cpu::kRecentPcs - 1 - i)) << i;
+  }
 }
 
 TEST(TraceTest, PartialRingReportsOnlyRecorded) {
-  ExecutionTrace trace(8);
-  trace.Record(0x4400);
-  trace.Record(0x4402);
-  auto recent = trace.Recent();
-  ASSERT_EQ(recent.size(), 2u);
-  EXPECT_EQ(recent[0], 0x4400);
-}
-
-TEST(TraceTest, ClearEmptiesRingButKeepsLifetimeCount) {
-  ExecutionTrace trace(4);
-  for (uint16_t pc = 0x4400; pc < 0x440C; pc += 2) {
-    trace.Record(pc);
-  }
-  EXPECT_EQ(trace.total_recorded(), 6u);
-  EXPECT_EQ(trace.recorded_since_clear(), 6u);
-
-  trace.Clear();
-  EXPECT_TRUE(trace.Recent().empty());
-  // Lifetime vs since-clear: total_recorded never resets, since_clear does.
-  EXPECT_EQ(trace.total_recorded(), 6u);
-  EXPECT_EQ(trace.recorded_since_clear(), 0u);
-
-  trace.Record(0x5000);
-  EXPECT_EQ(trace.total_recorded(), 7u);
-  EXPECT_EQ(trace.recorded_since_clear(), 1u);
-  auto recent = trace.Recent();
-  ASSERT_EQ(recent.size(), 1u);
-  EXPECT_EQ(recent[0], 0x5000);
+  Machine m;
+  AssembleAndLoad(&m, "start:\n  nop\n  nop\n" + std::string(kStop));
+  EXPECT_TRUE(m.cpu().recent_pcs().empty());
+  m.cpu().Step();
+  m.cpu().Step();
+  EXPECT_EQ(m.cpu().recent_pcs(), (std::vector<uint16_t>{kFramStart, kFramStart + 2}));
 }
 
 TEST(TraceTest, CpuFeedsTraceAndRenderDisassembles) {
   Machine m;
-  ExecutionTrace trace(8);
-  m.cpu().set_trace(&trace);
   RunAsm(&m,
          "start:\n"
          "  mov #5, r4\n"
          "  add #2, r4\n" +
              std::string(kStop));
-  auto recent = trace.Recent();
+  const std::vector<uint16_t> recent = m.cpu().recent_pcs();
   ASSERT_GE(recent.size(), 3u);
   EXPECT_EQ(recent[0], kFramStart);
-  std::string rendered = RenderTrace(trace, m.bus());
+  std::string rendered = RenderTrace(recent, m.bus());
   EXPECT_NE(rendered.find("mov"), std::string::npos);
   EXPECT_NE(rendered.find("0x4400"), std::string::npos);
 }
 
+TEST(TraceTest, PucKeepsRecentPcs) {
+  // Every second instruction requests a PUC; a ring cleared by the reset
+  // would never hold more than two entries.
+  Machine m;
+  AssembleAndLoad(&m, std::string(kMpuRegs) +
+                          "start:\n"
+                          "  nop\n"
+                          "  mov #0x0001, &MPUCTL0\n"  // missing password: PUC
+                          "  jmp start\n");
+  m.Run(1000);
+  EXPECT_GE(m.puc_count(), 2u);
+  EXPECT_EQ(m.cpu().recent_pcs().size(), Cpu::kRecentPcs);
+}
 
 // ---------------------------------------------------------------------------
 // MPY32 hardware multiplier

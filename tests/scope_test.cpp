@@ -11,6 +11,7 @@
 #include "src/common/binio.h"
 #include "src/os/os.h"
 #include "src/scope/firmware_map.h"
+#include "src/scope/flight_recorder.h"
 #include "src/scope/json.h"
 #include "src/scope/metrics.h"
 #include "src/scope/profiler.h"
@@ -275,6 +276,41 @@ TEST(TracerTest, ValidatorAcceptsIndependentTracks) {
 
 // ---------------------------------------------------------------------------
 // Streaming metrics
+
+TEST(FlightRecorderTest, TailIsOldestFirstAcrossWrapWithPointerClock) {
+  FlightRecorder recorder;
+  EXPECT_TRUE(recorder.Tail(8).empty());
+  uint64_t cycles = 1000;
+  recorder.set_clock(&cycles);
+  // 200 events wrap the 128-entry ring; each reads the clock through
+  // the pointer at record time.
+  for (uint16_t i = 0; i < 200; ++i) {
+    cycles = 1000 + i;
+    recorder.Record(FlightEventKind::kBranch, i, static_cast<uint16_t>(i + 1));
+  }
+  const std::vector<FlightEvent> tail = recorder.Tail(4);
+  ASSERT_EQ(tail.size(), 4u);
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].a, 196 + i);
+    EXPECT_EQ(tail[i].cycles, 1196 + i);
+    EXPECT_EQ(tail[i].kind, FlightEventKind::kBranch);
+  }
+  // Asking for more than the ring holds yields the whole ring, oldest first.
+  const std::vector<FlightEvent> all = recorder.Tail(1000);
+  ASSERT_EQ(all.size(), FlightRecorder::kCapacity);
+  EXPECT_EQ(all.front().a, 200 - FlightRecorder::kCapacity);
+  EXPECT_EQ(all.back().a, 199);
+
+  // A partial ring holds only what was recorded; without a clock every
+  // event is stamped 0.
+  FlightRecorder partial;
+  partial.Record(FlightEventKind::kStore, 7, 8);
+  partial.Record(FlightEventKind::kIrq, 9, 10);
+  const std::vector<FlightEvent> two = partial.Tail(8);
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_TRUE(two[0] == (FlightEvent{0, 7, 8, FlightEventKind::kStore}));
+  EXPECT_TRUE(two[1] == (FlightEvent{0, 9, 10, FlightEventKind::kIrq}));
+}
 
 TEST(MetricsTest, LogHistogramBucketBoundaries) {
   EXPECT_EQ(LogHistogram::BucketOf(0), 0);
