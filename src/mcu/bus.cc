@@ -3,6 +3,7 @@
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/mcu/code_cache.h"
+#include "src/mcu/mpu.h"
 #include "src/mcu/snapshot.h"
 #include "src/scope/flight_recorder.h"
 #include "src/scope/probe.h"
@@ -13,55 +14,55 @@ namespace {
 // Value returned for refused/unmapped reads; an out-of-thin-air pattern that
 // is easy to spot in traces (and decodes to a CMP, never silently useful).
 constexpr uint16_t kRefusedReadValue = 0x3FFF;
+
+// What an address decodes to. kFram (InfoMem, main FRAM, vectors) pays wait
+// states and is the only region the MPU can cover; everything below kHole is
+// plain memory. Device slot k decodes to kDevice + k.
+enum Region : uint8_t { kSram, kFram, kRom, kHole, kDevice };
+
+// Above the peripheral page the map is fixed: one region per 128-byte line.
+constexpr int kLineShift = 7;
+static_assert((kBslStart | kBslEnd | kInfoMemEnd | kSramStart | kSramEnd | kFramStart) %
+                      (1u << kLineShift) == 0,
+              "memory_map.h boundaries must fall on decode-line boundaries");
+
+constexpr std::array<uint8_t, (0x10000 >> kLineShift)> kMemoryRegions = [] {
+  std::array<uint8_t, (0x10000 >> kLineShift)> table{};
+  for (uint32_t line = 0; line < table.size(); ++line) {
+    const uint32_t a = line << kLineShift;
+    table[line] = InRange(a, kBslStart, kBslEnd) ? kRom
+                  : IsSram(a)                    ? kSram
+                  : IsAnyFram(a)                 ? kFram
+                                                 : kHole;
+  }
+  return table;
+}();
 }  // namespace
 
-Bus::Bus() = default;
+Bus::Bus(Mpu* mpu) : mpu_(mpu) {
+  AMULET_CHECK(mpu != nullptr);
+  periph_regions_.fill(kHole);
+}
 
 void Bus::AttachDevice(BusDevice* device) {
   AMULET_CHECK(device != nullptr);
-  devices_.push_back(device);
+  AMULET_CHECK(devices_.size() < 0x100 - kDevice);
+  const uint32_t base = device->base();
+  const uint32_t end = base + device->size_bytes();
+  AMULET_CHECK(base % 2 == 0 && end % 2 == 0 && end <= kPeriphEnd);
+  const uint8_t region = static_cast<uint8_t>(kDevice + devices_.size());
+  for (uint32_t a = base; a < end; a += 2) {
+    AMULET_CHECK(periph_regions_[a >> 1] == kHole);
+    periph_regions_[a >> 1] = region;
+  }
+  devices_.push_back({device, static_cast<uint16_t>(base)});
 }
 
-BusDevice* Bus::DeviceFor(uint16_t addr) {
-  for (BusDevice* device : devices_) {
-    if (addr >= device->base() &&
-        addr < static_cast<uint32_t>(device->base()) + device->size_bytes()) {
-      return device;
-    }
-  }
-  return nullptr;
+uint8_t Bus::RegionOf(uint16_t addr) const {
+  return addr < kPeriphEnd ? periph_regions_[addr >> 1] : kMemoryRegions[addr >> kLineShift];
 }
 
-uint8_t* Bus::BackingFor(uint16_t addr, AccessKind kind, bool* writable) {
-  const uint32_t a = addr;
-  *writable = true;
-  if (InRange(a, kBslStart, kBslEnd)) {
-    *writable = false;
-    return &mem_[addr];
-  }
-  if (IsInfoMem(a) || IsSram(a) || a >= kFramStart) {
-    return &mem_[addr];
-  }
-  if (InRange(a, kPeriphStart, kPeriphEnd)) {
-    // Peripheral space without a device behind it: handled by caller.
-    if (kind == AccessKind::kFetch) {
-      fault_ = BusFault::kFetchFromPeriph;
-    }
-    return nullptr;
-  }
-  return nullptr;  // hole (0x1A00-0x1BFF, 0x2400-0x43FF)
-}
-
-bool Bus::IsPlainMemory(uint16_t addr) const {
-  for (const BusDevice* device : devices_) {
-    if (addr >= device->base() &&
-        addr < static_cast<uint32_t>(device->base()) + device->size_bytes()) {
-      return false;
-    }
-  }
-  const uint32_t a = addr;
-  return InRange(a, kBslStart, kBslEnd) || IsInfoMem(a) || IsSram(a) || a >= kFramStart;
-}
+bool Bus::IsPlainMemory(uint16_t addr) const { return RegionOf(addr) < kHole; }
 
 void Bus::InvalidateCode(uint16_t addr) {
   if (code_cache_ != nullptr) {
@@ -69,122 +70,115 @@ void Bus::InvalidateCode(uint16_t addr) {
   }
 }
 
-void Bus::AddFramPenalty(uint16_t addr) {
-  if (fram_wait_states_ > 0 && IsAnyFram(addr)) {
+void Bus::AddFramPenalty(uint8_t region) {
+  if (region == kFram) {
     penalty_cycles_ += static_cast<uint64_t>(fram_wait_states_);
   }
 }
 
+// The accessors below decode once, then: FRAM wait states, the MPU check
+// (only FRAM is ever covered, and an uncovered check always passes without
+// side effects), then the region's own behaviour.
+
 uint16_t Bus::ReadWord(uint16_t addr, AccessKind kind) {
   addr &= ~uint16_t{1};
-  AddFramPenalty(addr);
-  if (mpu_ != nullptr && !mpu_->CheckAccess(addr, kind)) {
+  const uint8_t region = RegionOf(addr);
+  AddFramPenalty(region);
+  if (region == kFram && !mpu_->CheckAccess(addr, kind)) {
     CountAccess(addr, kind);
     return kRefusedReadValue;
   }
-  if (BusDevice* device = DeviceFor(addr)) {
+  if (region >= kDevice) {
     if (kind == AccessKind::kFetch) {
       fault_ = BusFault::kFetchFromPeriph;
       return kRefusedReadValue;
     }
-    uint16_t value = device->ReadWord(static_cast<uint16_t>(addr - device->base()));
+    const DeviceSlot& slot = devices_[region - kDevice];
+    const uint16_t value = slot.device->ReadWord(static_cast<uint16_t>(addr - slot.base));
     CountAccess(addr, kind);
     return value;
   }
-  bool writable = false;
-  uint8_t* backing = BackingFor(addr, kind, &writable);
-  if (backing == nullptr) {
+  if (region == kHole) {
     fault_ = BusFault::kUnmapped;
     return kRefusedReadValue;
   }
-  uint16_t value = static_cast<uint16_t>(backing[0] | (backing[1] << 8));
   CountAccess(addr, kind);
-  return value;
+  return static_cast<uint16_t>(mem_[addr] | (mem_[addr + 1] << 8));
 }
 
-void Bus::WriteWord(uint16_t addr, uint16_t value, AccessKind kind) {
+void Bus::WriteWord(uint16_t addr, uint16_t value) {
   addr &= ~uint16_t{1};
-  AddFramPenalty(addr);
+  const uint8_t region = RegionOf(addr);
+  AddFramPenalty(region);
   AMULET_PROBE_FLIGHT(flight_, FlightEventKind::kStore, addr, value);
-  if (mpu_ != nullptr && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
+  if (region == kFram && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
     CountAccess(addr, AccessKind::kWrite);
     return;  // blocked; violation latched in the MPU
   }
-  if (BusDevice* device = DeviceFor(addr)) {
+  if (region >= kDevice) {
     CountAccess(addr, AccessKind::kWrite);
-    device->WriteWord(static_cast<uint16_t>(addr - device->base()), value);
+    const DeviceSlot& slot = devices_[region - kDevice];
+    slot.device->WriteWord(static_cast<uint16_t>(addr - slot.base), value);
     return;
   }
-  bool writable = false;
-  uint8_t* backing = BackingFor(addr, kind, &writable);
-  if (backing == nullptr) {
-    fault_ = BusFault::kUnmapped;
-    return;
-  }
-  if (!writable) {
-    fault_ = BusFault::kWriteToRom;
+  if (region >= kRom) {
+    fault_ = region == kRom ? BusFault::kWriteToRom : BusFault::kUnmapped;
     return;
   }
   CountAccess(addr, AccessKind::kWrite);
-  backing[0] = static_cast<uint8_t>(value & 0xFF);
-  backing[1] = static_cast<uint8_t>(value >> 8);
+  mem_[addr] = static_cast<uint8_t>(value & 0xFF);
+  mem_[addr + 1] = static_cast<uint8_t>(value >> 8);
   InvalidateCode(addr);
 }
 
 uint8_t Bus::ReadByte(uint16_t addr, AccessKind kind) {
-  AddFramPenalty(addr);
-  if (mpu_ != nullptr && !mpu_->CheckAccess(addr, kind)) {
+  const uint8_t region = RegionOf(addr);
+  AddFramPenalty(region);
+  if (region == kFram && !mpu_->CheckAccess(addr, kind)) {
     CountAccess(addr, kind);
     return kRefusedReadValue & 0xFF;
   }
-  if (BusDevice* device = DeviceFor(addr)) {
-    uint16_t word = device->ReadWord(static_cast<uint16_t>((addr & ~1) - device->base()));
-    uint8_t value = (addr & 1) != 0 ? static_cast<uint8_t>(word >> 8)
-                                    : static_cast<uint8_t>(word & 0xFF);
+  if (region >= kDevice) {
+    const DeviceSlot& slot = devices_[region - kDevice];
+    const uint16_t word = slot.device->ReadWord(static_cast<uint16_t>((addr & ~1) - slot.base));
     CountAccess(addr, kind);
-    return value;
+    return (addr & 1) != 0 ? static_cast<uint8_t>(word >> 8) : static_cast<uint8_t>(word & 0xFF);
   }
-  bool writable = false;
-  uint8_t* backing = BackingFor(addr, kind, &writable);
-  if (backing == nullptr) {
+  if (region == kHole) {
     fault_ = BusFault::kUnmapped;
     return kRefusedReadValue & 0xFF;
   }
   CountAccess(addr, kind);
-  return *backing;
+  return mem_[addr];
 }
 
-void Bus::WriteByte(uint16_t addr, uint8_t value, AccessKind kind) {
-  AddFramPenalty(addr);
+void Bus::WriteByte(uint16_t addr, uint8_t value) {
+  const uint8_t region = RegionOf(addr);
+  AddFramPenalty(region);
   AMULET_PROBE_FLIGHT(flight_, FlightEventKind::kStore, addr, value);
-  if (mpu_ != nullptr && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
+  if (region == kFram && !mpu_->CheckAccess(addr, AccessKind::kWrite)) {
     CountAccess(addr, AccessKind::kWrite);
     return;
   }
-  if (BusDevice* device = DeviceFor(addr)) {
-    uint16_t offset = static_cast<uint16_t>((addr & ~1) - device->base());
-    uint16_t word = device->ReadWord(offset);
+  if (region >= kDevice) {
+    const DeviceSlot& slot = devices_[region - kDevice];
+    const uint16_t offset = static_cast<uint16_t>((addr & ~1) - slot.base);
+    uint16_t word = slot.device->ReadWord(offset);
     if ((addr & 1) != 0) {
       word = static_cast<uint16_t>((word & 0x00FF) | (value << 8));
     } else {
       word = static_cast<uint16_t>((word & 0xFF00) | value);
     }
     CountAccess(addr, AccessKind::kWrite);
-    device->WriteWord(offset, word);
+    slot.device->WriteWord(offset, word);
     return;
   }
-  bool writable = false;
-  uint8_t* backing = BackingFor(addr, kind, &writable);
-  if (backing == nullptr) {
-    fault_ = BusFault::kUnmapped;
-    return;
-  }
-  if (!writable) {
-    fault_ = BusFault::kWriteToRom;
+  if (region >= kRom) {
+    fault_ = region == kRom ? BusFault::kWriteToRom : BusFault::kUnmapped;
     return;
   }
   CountAccess(addr, AccessKind::kWrite);
-  *backing = value;
+  mem_[addr] = value;
   InvalidateCode(addr);
 }
 

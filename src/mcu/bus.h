@@ -1,7 +1,14 @@
-// The memory bus: routes CPU accesses to RAM/FRAM arrays and peripheral
-// devices, consults the MPU on every protected access, accumulates FRAM
-// wait-state penalty cycles, and counts data accesses into an address set
-// for the Amulet Resource Profiler and the fleet's per-device statistics.
+// The memory bus: decodes every CPU access with one region lookup (SRAM,
+// FRAM, the BSL ROM, a hole, or an attached device's register word), consults
+// the MPU on every access to FRAM, accumulates FRAM wait-state penalty cycles,
+// and counts data accesses into an address set for the Amulet Resource
+// Profiler and the fleet's per-device statistics.
+//
+// The decode has two parts. Everything above the peripheral page is fixed by
+// memory_map.h and lives in one compile-time table shared by every bus. The
+// peripheral page is decoded per register word from a small per-bus table
+// that AttachDevice() paints, so device base()/size_bytes() are never asked
+// on the access path.
 #ifndef SRC_MCU_BUS_H_
 #define SRC_MCU_BUS_H_
 
@@ -46,48 +53,21 @@ class BusDevice {
   virtual void WriteWord(uint16_t offset, uint16_t value) = 0;
 };
 
-// Consulted before every access that lands in MPU-covered memory.
-class MemoryProtection {
- public:
-  virtual ~MemoryProtection() = default;
-  // Returns true if the access is permitted. A refusal must latch the
-  // violation inside the implementation (flag + NMI request).
-  virtual bool CheckAccess(uint16_t addr, AccessKind kind) = 0;
-  // Pure preflight for the predecode fast path: returns what CheckAccess()
-  // would return, without latching anything. The conservative default sends
-  // every access down the slow path.
-  virtual bool WouldPermit(uint16_t addr, AccessKind kind) const {
-    (void)addr;
-    (void)kind;
-    return false;
-  }
-  // Monotonic generation counter, bumped whenever the permission
-  // configuration may have changed; lets the fast path cache WouldPermit()
-  // verdicts per instruction. Starts at 1 so that 0 can mean "never
-  // computed". Deliberately a non-virtual field load: the fast path reads
-  // it on every cached step, and a vtable dispatch here is measurable.
-  uint32_t ConfigGeneration() const { return config_generation_; }
-
- protected:
-  // Implementations bump this on every configuration change (register
-  // writes, reset, snapshot restore). Host-side derived state, never
-  // serialized.
-  uint32_t config_generation_ = 1;
-};
-
 // One bit per byte address of the 64 KiB address space.
 using AddressSet = std::bitset<0x10000>;
 
 class CodeCache;
+class Mpu;
 
 class Bus {
  public:
-  Bus();
+  // `mpu` (not owned) must outlive the bus; the owning Machine wires its own.
+  explicit Bus(Mpu* mpu);
 
-  // Devices are consulted in registration order; ranges must not overlap.
+  // Maps the device's register block into the peripheral page. Blocks are
+  // word-aligned, lie below kPeriphEnd and must not overlap (all checked).
   void AttachDevice(BusDevice* device);
-  void SetMpu(MemoryProtection* mpu) { mpu_ = mpu; }
-  MemoryProtection* mpu() const { return mpu_; }
+  Mpu* mpu() const { return mpu_; }
   // Registers the CPU's predecoded-instruction cache so the bus can kill
   // stale entries whenever backing memory changes (architectural writes,
   // pokes, image loads, snapshot restore).
@@ -130,9 +110,9 @@ class Bus {
   // part). An MPU refusal yields value 0x3FFF on reads and drops writes; the
   // violation is latched in the MPU, not reported here.
   uint16_t ReadWord(uint16_t addr, AccessKind kind);
-  void WriteWord(uint16_t addr, uint16_t value, AccessKind kind);
+  void WriteWord(uint16_t addr, uint16_t value);
   uint8_t ReadByte(uint16_t addr, AccessKind kind);
-  void WriteByte(uint16_t addr, uint8_t value, AccessKind kind);
+  void WriteByte(uint16_t addr, uint8_t value);
 
   // Sticky hardware fault from the most recent access sequence.
   BusFault fault() const { return fault_; }
@@ -152,24 +132,29 @@ class Bus {
   void LoadState(SnapshotReader& r);
 
  private:
-  // Returns backing storage for a plain-memory address, or nullptr if the
-  // address belongs to a device/hole.
-  uint8_t* BackingFor(uint16_t addr, AccessKind kind, bool* writable);
-  BusDevice* DeviceFor(uint16_t addr);
+  struct DeviceSlot {
+    BusDevice* device;
+    uint16_t base;
+  };
+
+  // The region byte for `addr` (encoding in bus.cc).
+  uint8_t RegionOf(uint16_t addr) const;
   void CountAccess(uint16_t addr, AccessKind kind) {
     if (counted_ != nullptr && kind != AccessKind::kFetch && (*counted_)[addr]) {
       ++data_accesses_;
     }
   }
-  void AddFramPenalty(uint16_t addr);
+  void AddFramPenalty(uint8_t region);
 
   // Invalidates code-cache entries covering `addr` (no-op when no cache is
   // registered). Called from every path that mutates mem_.
   void InvalidateCode(uint16_t addr);
 
   std::array<uint8_t, 0x10000> mem_{};  // flat backing store for all memory regions
-  std::vector<BusDevice*> devices_;
-  MemoryProtection* mpu_ = nullptr;
+  // Region byte per word of the peripheral page, painted by AttachDevice().
+  std::array<uint8_t, kPeriphEnd / 2> periph_regions_;
+  std::vector<DeviceSlot> devices_;
+  Mpu* mpu_;
   CodeCache* code_cache_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   const AddressSet* counted_ = nullptr;

@@ -28,7 +28,7 @@ class CodeCache {
     // InvalidateAll() bumps the generation instead of touching 32768 slots.
     uint32_t gen = 0;
     // MPU configuration generation `fetch_ok` was computed under; 0 means
-    // "never computed" (MemoryProtection generations start at 1).
+    // "never computed" (Mpu::ConfigGeneration() starts at 1).
     uint32_t mpu_gen = 0;
     // True when the MPU would permit fetching every word of the instruction.
     bool fetch_ok = false;

@@ -4,6 +4,7 @@
 #include "src/mcu/snapshot.h"
 #include "src/isa/encoding.h"
 #include "src/mcu/memory_map.h"
+#include "src/mcu/mpu.h"
 #include "src/scope/flight_recorder.h"
 #include "src/scope/probe.h"
 #include "src/scope/profiler.h"
@@ -52,7 +53,7 @@ void Cpu::SetFlagsLogical(uint16_t result, bool byte) {
 void Cpu::PushWord(uint16_t value) {
   uint16_t sp = static_cast<uint16_t>(reg(Reg::kSp) - 2);
   set_reg(Reg::kSp, sp);
-  bus_->WriteWord(sp, value, AccessKind::kWrite);
+  bus_->WriteWord(sp, value);
 }
 
 uint16_t Cpu::PopWord() {
@@ -112,9 +113,9 @@ void Cpu::WriteToLoc(const Loc& loc, bool byte, uint16_t value) {
     return;
   }
   if (byte) {
-    bus_->WriteByte(loc.addr, static_cast<uint8_t>(value & 0xFF), AccessKind::kWrite);
+    bus_->WriteByte(loc.addr, static_cast<uint8_t>(value & 0xFF));
   } else {
-    bus_->WriteWord(loc.addr, value, AccessKind::kWrite);
+    bus_->WriteWord(loc.addr, value);
   }
 }
 
@@ -299,9 +300,9 @@ void Cpu::ExecuteFormatTwo(const Instruction& insn, uint16_t ext_addr) {
       uint16_t sp = static_cast<uint16_t>(reg(Reg::kSp) - 2);
       set_reg(Reg::kSp, sp);
       if (byte) {
-        bus_->WriteByte(sp, static_cast<uint8_t>(v & 0xFF), AccessKind::kWrite);
+        bus_->WriteByte(sp, static_cast<uint8_t>(v & 0xFF));
       } else {
-        bus_->WriteWord(sp, v, AccessKind::kWrite);
+        bus_->WriteWord(sp, v);
       }
       break;
     }
@@ -772,24 +773,23 @@ StepResult Cpu::StepFast(uint16_t insn_addr) {
   // is bit-identical. A refusal anywhere defers to the interpreter, which
   // replays the whole fetch sequence from scratch (penalties, 0x3FFF reads,
   // violation latching, NMI) exactly as the baseline would.
-  if (MemoryProtection* mpu = bus_->mpu()) {
-    const uint32_t mpu_gen = mpu->ConfigGeneration();
-    if (entry->mpu_gen != mpu_gen) {
-      const int fetch_words = pd.cls == InsnClass::kInvalid ? 1 : pd.length_words;
-      bool ok = true;
-      for (int i = 0; i < fetch_words; ++i) {
-        if (!mpu->WouldPermit(static_cast<uint16_t>(insn_addr + 2 * i), AccessKind::kFetch)) {
-          ok = false;
-          break;
-        }
+  const Mpu& mpu = *bus_->mpu();
+  const uint32_t mpu_gen = mpu.ConfigGeneration();
+  if (entry->mpu_gen != mpu_gen) {
+    const int fetch_words = pd.cls == InsnClass::kInvalid ? 1 : pd.length_words;
+    bool ok = true;
+    for (int i = 0; i < fetch_words; ++i) {
+      if (!mpu.WouldPermit(static_cast<uint16_t>(insn_addr + 2 * i), AccessKind::kFetch)) {
+        ok = false;
+        break;
       }
-      entry->fetch_ok = ok;
-      entry->mpu_gen = mpu_gen;
     }
-    if (!entry->fetch_ok) {
-      cache_.CountSlowPath();
-      return StepSlow(insn_addr);
-    }
+    entry->fetch_ok = ok;
+    entry->mpu_gen = mpu_gen;
+  }
+  if (!entry->fetch_ok) {
+    cache_.CountSlowPath();
+    return StepSlow(insn_addr);
   }
 
   bus_->ClearFault();

@@ -7,7 +7,8 @@
 namespace amulet {
 
 Machine::Machine()
-    : mpu_(&signals_),
+    : bus_(&mpu_),
+      mpu_(&signals_),
       timer_(&signals_),
       hostio_(&signals_),
       watchdog_(&signals_),
@@ -17,7 +18,6 @@ Machine::Machine()
   bus_.AttachDevice(&hostio_);
   bus_.AttachDevice(&multiplier_);
   bus_.AttachDevice(&watchdog_);
-  bus_.SetMpu(&mpu_);
   cpu_.set_watchdog(&watchdog_);
 }
 

@@ -65,7 +65,7 @@ constexpr uint16_t MpuRights(bool r, bool w, bool x, bool puc_on_violation = fal
                                (x ? kMpuSamExec : 0) | (puc_on_violation ? kMpuSamVs : 0));
 }
 
-class Mpu : public BusDevice, public MemoryProtection {
+class Mpu : public BusDevice {
  public:
   explicit Mpu(McuSignals* signals) : signals_(signals) {}
 
@@ -75,11 +75,17 @@ class Mpu : public BusDevice, public MemoryProtection {
   uint16_t ReadWord(uint16_t offset) override;
   void WriteWord(uint16_t offset, uint16_t value) override;
 
-  // MemoryProtection:
-  bool CheckAccess(uint16_t addr, AccessKind kind) override;
+  // Consulted by the bus before every access to FRAM. Returns true if the
+  // access is permitted; a refusal latches the violation (flag + NMI or PUC).
+  bool CheckAccess(uint16_t addr, AccessKind kind);
   // Pure twin of CheckAccess(): same verdict, nothing latched. Used by the
   // predecode fast path to prove a cached fetch needs no per-step check.
-  bool WouldPermit(uint16_t addr, AccessKind kind) const override;
+  bool WouldPermit(uint16_t addr, AccessKind kind) const;
+  // Monotonic generation counter, bumped on every register write, reset and
+  // snapshot restore, so the fast path can cache WouldPermit() verdicts per
+  // instruction and revalidate them with one compare. Starts at 1 so that 0
+  // can mean "never computed". Host-side derived state, never serialized.
+  uint32_t ConfigGeneration() const { return config_generation_; }
 
   // State inspection (host-side; used by OS fault handling and tests).
   bool enabled() const { return (ctl0_ & kMpuEna) != 0; }
@@ -125,9 +131,7 @@ class Mpu : public BusDevice, public MemoryProtection {
   uint16_t sam_ = 0x7777;  // reset: all segments R+W+X, NMI on violation
   uint16_t last_violation_addr_ = 0;
   AccessKind last_violation_kind_ = AccessKind::kRead;
-  // MemoryProtection::config_generation_ (inherited) is bumped on every
-  // register write, reset, and snapshot restore so cached WouldPermit()
-  // verdicts can be revalidated with one compare.
+  uint32_t config_generation_ = 1;
 };
 
 }  // namespace amulet

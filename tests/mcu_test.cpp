@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/mcu/machine.h"
 #include "src/mcu/memory_map.h"
 #include "src/mcu/trace.h"
@@ -837,6 +840,150 @@ TEST(BusCountTest, OutsideSetAndCountingOffDoNotCount) {
   m.bus().CountDataAccesses(nullptr);
   m.Run(50000);
   EXPECT_EQ(m.bus().data_accesses(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Bus address decode, pinned for every address against a reference built
+// from memory_map.h and the device register blocks
+// ---------------------------------------------------------------------------
+
+struct RegBlock {
+  uint16_t base;
+  uint16_t size;
+};
+// The five register blocks a Machine attaches.
+constexpr RegBlock kRegBlocks[] = {
+    {kWdtRegBase, 2},  {kTimerRegBase, 10}, {kMpyRegBase, 0xE},
+    {kMpuRegBase, 10}, {kHostIoRegBase, 0x16},
+};
+
+bool RefIsDevice(uint32_t a) {
+  for (const RegBlock& block : kRegBlocks) {
+    if (InRange(a, block.base, block.base + block.size)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool RefIsBacked(uint32_t a) {
+  return InRange(a, kBslStart, kBslEnd) || IsInfoMem(a) || IsSram(a) || a >= kFramStart;
+}
+
+BusFault RefFault(uint32_t a, AccessKind kind) {
+  if (RefIsDevice(a)) {
+    return kind == AccessKind::kFetch ? BusFault::kFetchFromPeriph : BusFault::kNone;
+  }
+  if (!RefIsBacked(a)) {
+    return BusFault::kUnmapped;
+  }
+  if (kind == AccessKind::kWrite && InRange(a, kBslStart, kBslEnd)) {
+    return BusFault::kWriteToRom;
+  }
+  return BusFault::kNone;
+}
+
+struct BusOutcome {
+  BusFault fault;
+  uint64_t penalty;
+};
+
+// One architectural access at fram_wait_states = 1: the fault it raises and
+// the wait-state cycles it accrues.
+BusOutcome Access(Machine& m, uint16_t addr, AccessKind kind, bool byte) {
+  Bus& bus = m.bus();
+  bus.set_fram_wait_states(1);
+  bus.ClearFault();
+  bus.TakePenaltyCycles();
+  if (kind == AccessKind::kWrite) {
+    if (byte) {
+      bus.WriteByte(addr, 0x5A);
+    } else {
+      bus.WriteWord(addr, 0x5A5A);
+    }
+  } else if (byte) {
+    bus.ReadByte(addr, kind);
+  } else {
+    bus.ReadWord(addr, kind);
+  }
+  return {bus.fault(), bus.TakePenaltyCycles()};
+}
+
+TEST(BusDecodeTest, RegBlocksMatchTheDevices) {
+  Machine m;
+  const BusDevice* devices[] = {&m.watchdog(), &m.timer(), &m.multiplier(), &m.mpu(),
+                                &m.hostio()};
+  for (size_t i = 0; i < std::size(kRegBlocks); ++i) {
+    EXPECT_EQ(devices[i]->base(), kRegBlocks[i].base) << i;
+    EXPECT_EQ(devices[i]->size_bytes(), kRegBlocks[i].size) << i;
+  }
+}
+
+TEST(BusDecodeTest, EveryAddressMatchesTheMemoryMap) {
+  Machine m;
+  int mismatches = 0;
+  for (uint32_t a = 0; a < 0x10000; ++a) {
+    const uint16_t addr = static_cast<uint16_t>(a);
+    if (m.bus().IsPlainMemory(addr) != (RefIsBacked(a) && !RefIsDevice(a)) &&
+        ++mismatches <= 10) {
+      ADD_FAILURE() << "IsPlainMemory(" << HexWord(addr) << ")";
+    }
+    for (bool byte : {false, true}) {
+      // Word accesses ignore bit 0, as on the real part.
+      const uint32_t target = byte ? a : (a & ~1u);
+      for (AccessKind kind : {AccessKind::kRead, AccessKind::kFetch, AccessKind::kWrite}) {
+        // Device registers get a fresh machine: a write can request a PUC
+        // (WDT/MPU password) or reprogram the MPU.
+        std::unique_ptr<Machine> fresh;
+        Machine* on = &m;
+        if (RefIsDevice(target)) {
+          fresh = std::make_unique<Machine>();
+          on = fresh.get();
+        }
+        const BusOutcome got = Access(*on, addr, kind, byte);
+        // The CPU fetches whole words; a byte access never refuses a fetch
+        // from a register and decodes it like a read.
+        const AccessKind ref_kind = byte && kind == AccessKind::kFetch ? AccessKind::kRead : kind;
+        const BusFault want = RefFault(target, ref_kind);
+        const uint64_t want_penalty = IsAnyFram(target) ? 1 : 0;
+        if (got.fault != want || got.penalty != want_penalty) {
+          if (++mismatches <= 10) {
+            ADD_FAILURE() << HexWord(addr) << (byte ? " byte" : " word") << " kind "
+                          << static_cast<int>(kind) << ": fault "
+                          << static_cast<int>(got.fault) << " want "
+                          << static_cast<int>(want) << ", penalty " << got.penalty
+                          << " want " << want_penalty;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(BusDecodeTest, NamedEdges) {
+  Machine m;
+  // The MPU block is 10 bytes; the rest of its 16-byte line is a hole.
+  EXPECT_EQ(Access(m, 0x05AA, AccessKind::kRead, false).fault, BusFault::kUnmapped);
+  EXPECT_EQ(Access(m, 0x05AF, AccessKind::kRead, true).fault, BusFault::kUnmapped);
+  // The WDT is one word; the words around it are holes.
+  EXPECT_EQ(Access(m, kWdtRegBase - 2, AccessKind::kRead, false).fault, BusFault::kUnmapped);
+  EXPECT_EQ(Access(m, kWdtRegBase + 2, AccessKind::kRead, false).fault, BusFault::kUnmapped);
+  // The BSL is plain but read-only: a write faults and leaves it unchanged.
+  m.bus().PokeWord(kBslStart, 0x1234);
+  EXPECT_TRUE(m.bus().IsPlainMemory(kBslStart));
+  EXPECT_EQ(Access(m, kBslStart, AccessKind::kWrite, false).fault, BusFault::kWriteToRom);
+  EXPECT_EQ(Access(m, kBslEnd - 1, AccessKind::kWrite, true).fault, BusFault::kWriteToRom);
+  EXPECT_EQ(m.bus().PeekWord(kBslStart), 0x1234);
+  // The vectors are plain, writable FRAM.
+  EXPECT_TRUE(m.bus().IsPlainMemory(kResetVector));
+  EXPECT_EQ(Access(m, kResetVector, AccessKind::kWrite, false).fault, BusFault::kNone);
+  EXPECT_EQ(m.bus().PeekWord(kResetVector), 0x5A5A);
+  // A fetch from a peripheral hole is unmapped; from a register, refused.
+  EXPECT_EQ(Access(m, 0x0200, AccessKind::kFetch, false).fault, BusFault::kUnmapped);
+  EXPECT_EQ(Access(m, kTimerRegBase, AccessKind::kFetch, false).fault,
+            BusFault::kFetchFromPeriph);
+  EXPECT_FALSE(m.bus().IsPlainMemory(kTimerRegBase));
 }
 
 // ---------------------------------------------------------------------------

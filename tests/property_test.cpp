@@ -7,6 +7,8 @@
 //     seeded pseudo-random arithmetic kernel across all models).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/aft/aft.h"
 #include "src/common/strings.h"
 #include "src/mcu/machine.h"
@@ -168,13 +170,27 @@ TEST_P(MpuBoundarySweep, SegmentationFollowsBoundaries) {
   mpu.WriteWord(kMpuSam, static_cast<uint16_t>(kMpuSamRead) |
                              static_cast<uint16_t>(kMpuSamWrite << 4) |
                              static_cast<uint16_t>(kMpuSamExec << 8));
+  // Every verdict is also asked of WouldPermit() first, on cleared flags: it
+  // must agree with CheckAccess() and latch nothing.
+  int preflight_mismatches = 0;
   auto rights = [&](uint16_t addr) {
     int r = 0;
-    if (mpu.CheckAccess(addr, AccessKind::kRead)) r |= 4;
-    if (mpu.CheckAccess(addr, AccessKind::kWrite)) r |= 2;
-    if (mpu.CheckAccess(addr, AccessKind::kFetch)) r |= 1;
+    for (auto [kind, bit] : {std::pair{AccessKind::kRead, 4}, std::pair{AccessKind::kWrite, 2},
+                             std::pair{AccessKind::kFetch, 1}}) {
+      mpu.WriteWord(kMpuCtl1, 0xFFFF);
+      m.signals().nmi_pending = false;
+      const bool would = mpu.WouldPermit(addr, kind);
+      if (mpu.violation_flags() != 0 || m.signals().nmi_pending) ++preflight_mismatches;
+      const bool allowed = mpu.CheckAccess(addr, kind);
+      if (would != allowed) ++preflight_mismatches;
+      if (allowed) r |= bit;
+    }
     return r;
   };
+  for (uint32_t addr = 0; addr < 0x10000; ++addr) {
+    rights(static_cast<uint16_t>(addr));
+  }
+  EXPECT_EQ(preflight_mismatches, 0);
   EXPECT_EQ(rights(kFramStart), 4) << "segment 1: read-only";
   EXPECT_EQ(rights(static_cast<uint16_t>(b1 - 2)), 4);
   EXPECT_EQ(rights(b1), 2) << "segment 2 starts exactly at B1: write-only";
