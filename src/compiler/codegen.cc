@@ -19,9 +19,9 @@ class FunctionCodegen {
       : fn_(fn),
         gate_prefix_(std::move(gate_prefix)),
         shadow_ret_stack_(options.shadow_ret_stack),
+        out_(out),
         forward_values_(options.forward_values),
-        use_hw_multiplier_(options.use_hw_multiplier),
-        out_(out) {}
+        use_hw_multiplier_(options.use_hw_multiplier) {}
 
   Result<int> Run();  // returns stack bytes per activation
 

@@ -131,24 +131,24 @@ void Bus::WriteWord(uint16_t addr, uint16_t value) {
   InvalidateCode(addr);
 }
 
-uint8_t Bus::ReadByte(uint16_t addr, AccessKind kind) {
+uint8_t Bus::ReadByte(uint16_t addr) {
   const uint8_t region = RegionOf(addr);
   AddFramPenalty(region);
-  if (region == kFram && !mpu_->CheckAccess(addr, kind)) {
-    CountAccess(addr, kind);
+  if (region == kFram && !mpu_->CheckAccess(addr, AccessKind::kRead)) {
+    CountAccess(addr, AccessKind::kRead);
     return kRefusedReadValue & 0xFF;
   }
   if (region >= kDevice) {
     const DeviceSlot& slot = devices_[region - kDevice];
     const uint16_t word = slot.device->ReadWord(static_cast<uint16_t>((addr & ~1) - slot.base));
-    CountAccess(addr, kind);
+    CountAccess(addr, AccessKind::kRead);
     return (addr & 1) != 0 ? static_cast<uint8_t>(word >> 8) : static_cast<uint8_t>(word & 0xFF);
   }
   if (region == kHole) {
     fault_ = BusFault::kUnmapped;
     return kRefusedReadValue & 0xFF;
   }
-  CountAccess(addr, kind);
+  CountAccess(addr, AccessKind::kRead);
   return mem_[addr];
 }
 

@@ -111,7 +111,7 @@ class Bus {
   // violation is latched in the MPU, not reported here.
   uint16_t ReadWord(uint16_t addr, AccessKind kind);
   void WriteWord(uint16_t addr, uint16_t value);
-  uint8_t ReadByte(uint16_t addr, AccessKind kind);
+  uint8_t ReadByte(uint16_t addr);  // data read: the CPU fetches whole words
   void WriteByte(uint16_t addr, uint8_t value);
 
   // Sticky hardware fault from the most recent access sequence.

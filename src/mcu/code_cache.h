@@ -2,10 +2,11 @@
 //
 // One direct-mapped entry per 16-bit word address (32768 slots covering the
 // whole address space), each holding the dense PredecodedInsn record plus
-// its cached fetch permission and FRAM word count. Entries are validated
-// lazily by Cpu::StepFast() and killed by the bus whenever backing memory
-// changes: architectural writes (self-modifying code, OTA bank writes),
-// host-side pokes, image loads, and snapshot restore.
+// its FRAM word count. A valid entry means every word of the instruction is
+// plain memory, so the fast path may replay it; the MPU is still asked per
+// step. Entries are filled lazily by Cpu::StepFast() and killed by the bus
+// whenever backing memory changes: architectural writes (self-modifying
+// code, OTA bank writes), host-side pokes, image loads, and snapshot restore.
 //
 // The cache is derived state. It is deliberately excluded from snapshot
 // serialization (src/mcu/snapshot.h) so fleet cloning stays O(memcpy);
@@ -27,15 +28,6 @@ class CodeCache {
     // Entry is live iff `gen` equals the cache's current generation.
     // InvalidateAll() bumps the generation instead of touching 32768 slots.
     uint32_t gen = 0;
-    // MPU configuration generation `fetch_ok` was computed under; 0 means
-    // "never computed" (Mpu::ConfigGeneration() starts at 1).
-    uint32_t mpu_gen = 0;
-    // True when the MPU would permit fetching every word of the instruction.
-    bool fetch_ok = false;
-    // True when any word of the instruction lies outside plain backed
-    // memory (peripheral space, holes): fetches there have side effects or
-    // faults the fast path cannot replay, so always take the interpreter.
-    bool slow_only = false;
     // How many of the fetched words live in FRAM (wait-state penalties).
     uint8_t fram_words = 0;
     PredecodedInsn pd;

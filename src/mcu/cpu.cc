@@ -97,7 +97,7 @@ uint16_t Cpu::ReadOperand(const Operand& op, bool byte, uint16_t ext_word_addr, 
     }
   }
   if (byte) {
-    return bus_->ReadByte(loc->addr, AccessKind::kRead);
+    return bus_->ReadByte(loc->addr);
   }
   return bus_->ReadWord(loc->addr, AccessKind::kRead);
 }
@@ -730,22 +730,16 @@ bool Cpu::FillEntry(uint16_t addr, CodeCache::Entry* entry) {
                              bus_->PeekWord(static_cast<uint16_t>(addr + 2)),
                              bus_->PeekWord(static_cast<uint16_t>(addr + 4))};
   PredecodeInto(addr, words, &entry->pd);
-  entry->slow_only = false;
   entry->fram_words = IsAnyFram(addr) ? 1 : 0;
   for (int i = 1; i < entry->pd.length_words; ++i) {
     const uint16_t word_addr = static_cast<uint16_t>(addr + 2 * i);
     if (!bus_->IsPlainMemory(word_addr)) {
-      // An extension-word fetch would hit device space or fault; the replay
-      // below cannot reproduce that, so this address is permanently slow.
-      entry->slow_only = true;
-      break;
+      return false;  // an extension-word fetch would hit device space or fault
     }
     if (IsAnyFram(word_addr)) {
       ++entry->fram_words;
     }
   }
-  entry->mpu_gen = 0;  // force a WouldPermit() pass on first execution
-  entry->fetch_ok = false;
   cache_.MarkValid(entry);
   return true;
 }
@@ -761,35 +755,21 @@ StepResult Cpu::StepFast(uint16_t insn_addr) {
   } else {
     cache_.CountHit();
   }
-  if (entry->slow_only) {
-    cache_.CountSlowPath();
-    return StepSlow(insn_addr);
-  }
   const PredecodedInsn& pd = entry->pd;
 
-  // Fetch-permission preflight, cached per entry and revalidated with one
-  // generation compare. WouldPermit() is pure and CheckAccess() has no side
-  // effects when it allows, so skipping the per-word checks on the hot path
-  // is bit-identical. A refusal anywhere defers to the interpreter, which
-  // replays the whole fetch sequence from scratch (penalties, 0x3FFF reads,
-  // violation latching, NMI) exactly as the baseline would.
+  // Fetch permission, asked per step. WouldPermit() is pure and CheckAccess()
+  // has no side effects when it allows, so skipping the bus's per-word
+  // checks is bit-identical. A refusal anywhere defers to the interpreter,
+  // which replays the whole fetch sequence from scratch (penalties, 0x3FFF
+  // reads, violation latching, NMI) exactly as the baseline would.
   const Mpu& mpu = *bus_->mpu();
-  const uint32_t mpu_gen = mpu.ConfigGeneration();
-  if (entry->mpu_gen != mpu_gen) {
-    const int fetch_words = pd.cls == InsnClass::kInvalid ? 1 : pd.length_words;
-    bool ok = true;
-    for (int i = 0; i < fetch_words; ++i) {
+  if (mpu.enabled()) {
+    for (int i = 0; i < pd.length_words; ++i) {
       if (!mpu.WouldPermit(static_cast<uint16_t>(insn_addr + 2 * i), AccessKind::kFetch)) {
-        ok = false;
-        break;
+        cache_.CountSlowPath();
+        return StepSlow(insn_addr);
       }
     }
-    entry->fetch_ok = ok;
-    entry->mpu_gen = mpu_gen;
-  }
-  if (!entry->fetch_ok) {
-    cache_.CountSlowPath();
-    return StepSlow(insn_addr);
   }
 
   bus_->ClearFault();

@@ -142,7 +142,8 @@ class Cpu {
   // bit-identically (device-space fetches, MPU-refused fetches).
   __attribute__((aligned(64))) StepResult StepFast(uint16_t insn_addr);
   // Predecodes the instruction at `addr` into `entry`. Returns false (entry
-  // left invalid) when the first word is not plain cacheable memory.
+  // left invalid) when any of its words is not plain memory; a valid entry
+  // may be replayed once the MPU permits fetching each of its words.
   bool FillEntry(uint16_t addr, CodeCache::Entry* entry);
 
   // Fast dispatch handlers, indexed by PredecodedInsn::handler through

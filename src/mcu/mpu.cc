@@ -43,13 +43,11 @@ void Mpu::WriteWord(uint16_t offset, uint16_t value) {
       AMULET_PROBE_SPAN_BEGIN(tracer_, "mpu.reconfig", value & 0x00FF);
     }
     ctl0_ = value & 0x00FF;
-    ++config_generation_;
     return;
   }
   if (locked()) {
     return;
   }
-  ++config_generation_;
   switch (offset) {
     case kMpuCtl1:
       // Write-1-to-clear violation flags.
@@ -72,22 +70,6 @@ void Mpu::WriteWord(uint16_t offset, uint16_t value) {
     default:
       break;
   }
-}
-
-int Mpu::SegmentOf(uint16_t addr) const {
-  if (IsInfoMem(addr)) {
-    return 0;
-  }
-  if (!IsMainFram(addr)) {
-    return -1;
-  }
-  if (addr < boundary1()) {
-    return 1;
-  }
-  if (addr < boundary2()) {
-    return 2;
-  }
-  return 3;
 }
 
 void Mpu::LatchViolation(int segment, uint16_t addr, AccessKind kind) {
@@ -125,49 +107,6 @@ void Mpu::LatchViolation(int segment, uint16_t addr, AccessKind kind) {
   }
 }
 
-bool Mpu::AccessAllowed(uint16_t addr, AccessKind kind, int* segment) const {
-  *segment = -1;
-  if (!enabled()) {
-    return true;
-  }
-  *segment = SegmentOf(addr);
-  if (*segment < 0) {
-    return true;  // SRAM / peripherals / vectors: never covered
-  }
-  int shift = kMpuSamInfoShift;
-  if (*segment == 1) {
-    shift = kMpuSamSeg1Shift;
-  } else if (*segment == 2) {
-    shift = kMpuSamSeg2Shift;
-  } else if (*segment == 3) {
-    shift = kMpuSamSeg3Shift;
-  }
-  const uint16_t rights = static_cast<uint16_t>(sam_ >> shift);
-  switch (kind) {
-    case AccessKind::kFetch:
-      return (rights & kMpuSamExec) != 0;
-    case AccessKind::kRead:
-      return (rights & kMpuSamRead) != 0;
-    case AccessKind::kWrite:
-      return (rights & kMpuSamWrite) != 0;
-  }
-  return false;
-}
-
-bool Mpu::CheckAccess(uint16_t addr, AccessKind kind) {
-  int segment = -1;
-  const bool allowed = AccessAllowed(addr, kind, &segment);
-  if (!allowed) {
-    LatchViolation(segment, addr, kind);
-  }
-  return allowed;
-}
-
-bool Mpu::WouldPermit(uint16_t addr, AccessKind kind) const {
-  int segment = -1;
-  return AccessAllowed(addr, kind, &segment);
-}
-
 void Mpu::Reset() {
   // A PUC can interrupt a reprogramming sequence mid-way; close the span so
   // the trace stays balanced.
@@ -181,7 +120,6 @@ void Mpu::Reset() {
   segb2_ = 0;
   sam_ = 0x7777;  // all segments R+W+X, NMI on violation
   last_violation_addr_ = 0;
-  ++config_generation_;
 }
 
 void Mpu::SaveState(SnapshotWriter& w) const {
@@ -202,7 +140,6 @@ void Mpu::LoadState(SnapshotReader& r) {
   sam_ = r.U16();
   last_violation_addr_ = r.U16();
   last_violation_kind_ = static_cast<AccessKind>(r.U8());
-  ++config_generation_;
 }
 
 }  // namespace amulet

@@ -77,15 +77,20 @@ class Mpu : public BusDevice {
 
   // Consulted by the bus before every access to FRAM. Returns true if the
   // access is permitted; a refusal latches the violation (flag + NMI or PUC).
-  bool CheckAccess(uint16_t addr, AccessKind kind);
-  // Pure twin of CheckAccess(): same verdict, nothing latched. Used by the
-  // predecode fast path to prove a cached fetch needs no per-step check.
-  bool WouldPermit(uint16_t addr, AccessKind kind) const;
-  // Monotonic generation counter, bumped on every register write, reset and
-  // snapshot restore, so the fast path can cache WouldPermit() verdicts per
-  // instruction and revalidate them with one compare. Starts at 1 so that 0
-  // can mean "never computed". Host-side derived state, never serialized.
-  uint32_t ConfigGeneration() const { return config_generation_; }
+  bool CheckAccess(uint16_t addr, AccessKind kind) {
+    int segment = -1;
+    const bool allowed = AccessAllowed(addr, kind, &segment);
+    if (!allowed) {
+      LatchViolation(segment, addr, kind);
+    }
+    return allowed;
+  }
+  // Pure twin of CheckAccess(): same verdict, nothing latched. The predecode
+  // fast path asks it for every fetched word of a cached instruction.
+  bool WouldPermit(uint16_t addr, AccessKind kind) const {
+    int segment = -1;
+    return AccessAllowed(addr, kind, &segment);
+  }
 
   // State inspection (host-side; used by OS fault handling and tests).
   bool enabled() const { return (ctl0_ & kMpuEna) != 0; }
@@ -114,10 +119,43 @@ class Mpu : public BusDevice {
   void LoadState(SnapshotReader& r);
 
  private:
-  int SegmentOf(uint16_t addr) const;  // 1..3 main, 0 info, -1 uncovered
+  // 1..3 main, 0 info, -1 uncovered.
+  int SegmentOf(uint16_t addr) const {
+    if (IsInfoMem(addr)) {
+      return 0;
+    }
+    if (!IsMainFram(addr)) {
+      return -1;
+    }
+    if (addr < boundary1()) {
+      return 1;
+    }
+    return addr < boundary2() ? 2 : 3;
+  }
   // Shared allow-logic of CheckAccess/WouldPermit; fills *segment for the
-  // latch path. Pure.
-  bool AccessAllowed(uint16_t addr, AccessKind kind, int* segment) const;
+  // latch path. Pure, and inline so a check is a few compares.
+  bool AccessAllowed(uint16_t addr, AccessKind kind, int* segment) const {
+    *segment = -1;
+    if (!enabled()) {
+      return true;
+    }
+    *segment = SegmentOf(addr);
+    if (*segment < 0) {
+      return true;  // SRAM / peripherals / vectors: never covered
+    }
+    static constexpr int kShift[4] = {kMpuSamInfoShift, kMpuSamSeg1Shift, kMpuSamSeg2Shift,
+                                      kMpuSamSeg3Shift};
+    const uint16_t rights = static_cast<uint16_t>(sam_ >> kShift[*segment]);
+    switch (kind) {
+      case AccessKind::kFetch:
+        return (rights & kMpuSamExec) != 0;
+      case AccessKind::kRead:
+        return (rights & kMpuSamRead) != 0;
+      case AccessKind::kWrite:
+        return (rights & kMpuSamWrite) != 0;
+    }
+    return false;
+  }
   void LatchViolation(int segment, uint16_t addr, AccessKind kind);
 
   McuSignals* signals_;
@@ -131,7 +169,6 @@ class Mpu : public BusDevice {
   uint16_t sam_ = 0x7777;  // reset: all segments R+W+X, NMI on violation
   uint16_t last_violation_addr_ = 0;
   AccessKind last_violation_kind_ = AccessKind::kRead;
-  uint32_t config_generation_ = 1;
 };
 
 }  // namespace amulet

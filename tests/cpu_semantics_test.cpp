@@ -73,10 +73,18 @@ TEST_P(AluSemantics, MatchesArchitecture) {
     EXPECT_EQ(m.cpu().reg(Reg::kR4), c.dst_in) << CaseName(c) << " must not write";
   }
   const uint16_t sr = m.cpu().sr();
-  if (c.c >= 0) EXPECT_EQ((sr & kSrCarry) != 0, c.c == 1) << CaseName(c) << " C";
-  if (c.z >= 0) EXPECT_EQ((sr & kSrZero) != 0, c.z == 1) << CaseName(c) << " Z";
-  if (c.n >= 0) EXPECT_EQ((sr & kSrNegative) != 0, c.n == 1) << CaseName(c) << " N";
-  if (c.v >= 0) EXPECT_EQ((sr & kSrOverflow) != 0, c.v == 1) << CaseName(c) << " V";
+  if (c.c >= 0) {
+    EXPECT_EQ((sr & kSrCarry) != 0, c.c == 1) << CaseName(c) << " C";
+  }
+  if (c.z >= 0) {
+    EXPECT_EQ((sr & kSrZero) != 0, c.z == 1) << CaseName(c) << " Z";
+  }
+  if (c.n >= 0) {
+    EXPECT_EQ((sr & kSrNegative) != 0, c.n == 1) << CaseName(c) << " N";
+  }
+  if (c.v >= 0) {
+    EXPECT_EQ((sr & kSrOverflow) != 0, c.v == 1) << CaseName(c) << " V";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -195,9 +203,15 @@ TEST_P(UnarySemantics, MatchesArchitecture) {
   EXPECT_EQ(m.cpu().reg(Reg::kR4), c.expect)
       << OpcodeName(c.op) << " in=" << HexWord(c.in);
   const uint16_t sr = m.cpu().sr();
-  if (c.c >= 0) EXPECT_EQ((sr & kSrCarry) != 0, c.c == 1) << OpcodeName(c.op) << " C";
-  if (c.z >= 0) EXPECT_EQ((sr & kSrZero) != 0, c.z == 1) << OpcodeName(c.op) << " Z";
-  if (c.n >= 0) EXPECT_EQ((sr & kSrNegative) != 0, c.n == 1) << OpcodeName(c.op) << " N";
+  if (c.c >= 0) {
+    EXPECT_EQ((sr & kSrCarry) != 0, c.c == 1) << OpcodeName(c.op) << " C";
+  }
+  if (c.z >= 0) {
+    EXPECT_EQ((sr & kSrZero) != 0, c.z == 1) << OpcodeName(c.op) << " Z";
+  }
+  if (c.n >= 0) {
+    EXPECT_EQ((sr & kSrNegative) != 0, c.n == 1) << OpcodeName(c.op) << " N";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -902,7 +902,7 @@ BusOutcome Access(Machine& m, uint16_t addr, AccessKind kind, bool byte) {
       bus.WriteWord(addr, 0x5A5A);
     }
   } else if (byte) {
-    bus.ReadByte(addr, kind);
+    bus.ReadByte(addr);
   } else {
     bus.ReadWord(addr, kind);
   }
@@ -932,6 +932,9 @@ TEST(BusDecodeTest, EveryAddressMatchesTheMemoryMap) {
       // Word accesses ignore bit 0, as on the real part.
       const uint32_t target = byte ? a : (a & ~1u);
       for (AccessKind kind : {AccessKind::kRead, AccessKind::kFetch, AccessKind::kWrite}) {
+        if (byte && kind == AccessKind::kFetch) {
+          continue;  // the CPU fetches whole words, so the bus has no byte fetch
+        }
         // Device registers get a fresh machine: a write can request a PUC
         // (WDT/MPU password) or reprogram the MPU.
         std::unique_ptr<Machine> fresh;
@@ -941,10 +944,7 @@ TEST(BusDecodeTest, EveryAddressMatchesTheMemoryMap) {
           on = fresh.get();
         }
         const BusOutcome got = Access(*on, addr, kind, byte);
-        // The CPU fetches whole words; a byte access never refuses a fetch
-        // from a register and decodes it like a read.
-        const AccessKind ref_kind = byte && kind == AccessKind::kFetch ? AccessKind::kRead : kind;
-        const BusFault want = RefFault(target, ref_kind);
+        const BusFault want = RefFault(target, kind);
         const uint64_t want_penalty = IsAnyFram(target) ? 1 : 0;
         if (got.fault != want || got.penalty != want_penalty) {
           if (++mismatches <= 10) {

@@ -160,8 +160,8 @@ TEST(PredecodeTest, RestoreSnapshotDropsStaleEntries) {
 
 // MPU enabled mid-program, then a fetch from a non-executable segment: the
 // fast path must take the same NMI at the same cycle as the interpreter.
-// Enabling the MPU after code has been cached also exercises the cached
-// fetch-permission revalidation (the MPU config generation check).
+// Enabling the MPU after code has been cached also checks that a cached
+// entry is re-asked for fetch permission on every step.
 TEST(PredecodeTest, MpuFetchViolationMatchesInterpreter) {
   DualRun dual;
   RunBoth(&dual,
@@ -182,6 +182,72 @@ TEST(PredecodeTest, MpuFetchViolationMatchesInterpreter) {
   EXPECT_EQ(dual.outcome.stop_code, 3);
   EXPECT_EQ(dual.fast.cpu().reg(Reg::kR10), 1);
   EXPECT_TRUE(dual.fast.mpu().violation_flags() != 0);
+}
+
+// Firmware that flips the MPU between two configurations, three rounds, with
+// cached code on both sides of each flip. The routines sit in .data at
+// 0x7000 so the 16-byte boundaries land where they must:
+//   config A: B1 0x7000, B2 0x7020, seg2 X only, seg3 R only;
+//   config B: B1 0x7000, B2 0x7010, seg2 R only, seg3 X only.
+// `r2fn` runs under A and is refused under B; `r3fn` the other way round.
+// `span` is a 3-word instruction at 0x701C: under A its first two words are
+// executable but its last (0x7020) is not; under B all three are. Each
+// refusal lands in `nmi`, which counts it in r7, ORs the latched flags into
+// r8, clears them, and returns to the caller of the refused routine.
+TEST(PredecodeTest, AlternatingMpuConfigsMatchInterpreter) {
+  DualRun dual;
+  RunBoth(&dual,
+          std::string(kMpuRegs) +
+              "start:\n"
+              "  mov #0x2400, sp\n"
+              "  mov #nmi, &0xFFFC\n"
+              "  mov #0xE100, r9\n"         // 0x3F00(r9) = 0x2000, 0x3FFF(r9) = 0x20FF
+              "  mov #3, r11\n"
+              "round:\n"
+              "  mov #0x0700, &MPUSEGB1\n"  // config A
+              "  mov #0x0702, &MPUSEGB2\n"
+              "  mov #0x7145, &MPUSAM\n"
+              "  mov #0xA501, &MPUCTL0\n"
+              "  call #r2fn\n"              // permitted
+              "  call #span\n"              // last word refused
+              "  call #r3fn\n"              // refused
+              "  mov #0x0700, &MPUSEGB1\n"  // config B
+              "  mov #0x0701, &MPUSEGB2\n"
+              "  mov #0x7415, &MPUSAM\n"
+              "  mov #0xA501, &MPUCTL0\n"
+              "  call #r2fn\n"              // refused
+              "  call #span\n"              // permitted
+              "  call #r3fn\n"              // permitted
+              "  dec r11\n"
+              "  jnz round\n" +
+              std::string(kStop) +
+              "nmi:\n"
+              "  add #1, r7\n"
+              "  bis &MPUCTL1, r8\n"
+              "  mov #0x000F, &MPUCTL1\n"
+              "  add #4, sp\n"              // drop the NMI frame (SR, PC)
+              "  ret\n"
+              ".data\n"
+              "r2fn:\n"                     // 0x7000
+              "  add #1, r5\n"
+              "  ret\n"
+              "  .space 24\n"
+              "span:\n"                     // 0x701C
+              "  add #0x101, 0x3F00(r9)\n"
+              "  ret\n"
+              "  .space 28\n"
+              "r3fn:\n"                     // 0x7040
+              "  add #1, r6\n"
+              "  ret\n",
+          200000);
+  EXPECT_EQ(dual.outcome.result, StepResult::kStopped);
+  EXPECT_EQ(dual.fast.cpu().reg(Reg::kR5), 3);  // r2fn ran under A only
+  EXPECT_EQ(dual.fast.cpu().reg(Reg::kR6), 3);  // r3fn ran under B only
+  EXPECT_EQ(dual.fast.cpu().reg(Reg::kR7), 9);  // span + r3fn under A, r2fn under B
+  EXPECT_EQ(dual.fast.cpu().reg(Reg::kR8), kMpuSeg2Ifg | kMpuSeg3Ifg);
+  // span completed under B; under A its refused offset word read as 0x3FFF.
+  EXPECT_EQ(dual.fast.bus().PeekWord(0x2000), 3 * 0x101);
+  EXPECT_EQ(dual.fast.bus().PeekWord(0x20FE), 3 * 0x101);
 }
 
 // End-to-end: a small fleet simulated with and without predecode produces
