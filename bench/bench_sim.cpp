@@ -243,7 +243,6 @@ int Run() {
     cache_metrics.Add("codecache.misses", cache.misses);
     cache_metrics.Add("codecache.slow_paths", cache.slow_paths);
     cache_metrics.Add("codecache.invalidations", cache.invalidations);
-    cache_metrics.Add("codecache.full_invalidations", cache.full_invalidations);
     json.Field("cache_hits", cache.hits);
     json.Field("cache_misses", cache.misses);
     json.Field("cache_slow_paths", cache.slow_paths);

@@ -110,12 +110,21 @@ uint64_t SnapshotReader::U64() {
 double SnapshotReader::F64() { return std::bit_cast<double>(U64()); }
 
 void SnapshotReader::Bytes(uint8_t* out, size_t n) {
-  if (!Need(n)) {
+  const uint8_t* in = View(n);
+  if (in == nullptr) {
     std::memset(out, 0, n);
     return;
   }
-  std::memcpy(out, data_->data() + pos_, n);
+  std::memcpy(out, in, n);
+}
+
+const uint8_t* SnapshotReader::View(size_t n) {
+  if (!Need(n)) {
+    return nullptr;
+  }
+  const uint8_t* in = data_->data() + pos_;
   pos_ += n;
+  return in;
 }
 
 std::string SnapshotReader::Str() {

@@ -60,6 +60,9 @@ class SnapshotReader {
   uint64_t U64();
   double F64();
   void Bytes(uint8_t* out, size_t n);
+  // The next `n` bytes in place (valid while the source buffer lives), or
+  // nullptr past a failure.
+  const uint8_t* View(size_t n);
   std::string Str();
 
   // Reads and validates a section header; the matching LeaveSection checks

@@ -19,6 +19,7 @@ namespace {
 
 using fleet_internal::ClonedDevice;
 using fleet_internal::CohortRuntime;
+using fleet_internal::ResidentDevices;
 using fleet_internal::SecondsSince;
 
 const std::vector<CampaignStage>& DefaultStages() {
@@ -125,12 +126,18 @@ struct CampaignContext {
   const OtaImage* deploy = nullptr;
 };
 
+// Resident-device cohort slots: the old and the new firmware.
+constexpr int kFromSlot = 0;
+constexpr int kToSlot = 1;
+
 // One device's full campaign experience: normal workload on the old
 // firmware, bootloader MAC verification of the staged image on the simulated
 // CPU, and — if the image is authentic — activation of the new bank plus a
-// health window in which a watchdog-reset storm rolls the device back.
-Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
-                         CampaignDeviceRow* row, FaultLedger* ledger) {
+// health window in which a watchdog-reset storm rolls the device back. Both
+// firmware phases run on `worker`'s resident devices.
+Status RunCampaignDevice(int device_id, int worker, const CampaignContext& ctx,
+                         ResidentDevices* residents, CampaignDeviceRow* row,
+                         FaultLedger* ledger) {
   const CampaignConfig& config = *ctx.config;
   const uint32_t device_seed =
       fleet_internal::DeviceSeed(config.fleet.fleet_seed, device_id);
@@ -138,10 +145,8 @@ Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
   row->firmware_version = config.from_version;
 
   // Phase 1: the device's ordinary workload on the old firmware.
-  ASSIGN_OR_RETURN(std::unique_ptr<ClonedDevice> device,
-                   ClonedDevice::Clone(device_seed, config.fleet.fram_wait_states,
-                                       ctx.from->firmware, ctx.from->snapshot, *ctx.from->os,
-                                       config.fleet.predecode, config.fleet.flight_recorder));
+  ASSIGN_OR_RETURN(ClonedDevice * device, residents->Acquire(worker, kFromSlot, device_seed,
+                                                             *ctx.from, config.fleet));
   RETURN_IF_ERROR(device->Run(config.fleet.sim_ms, ctx.from->regions, &row->stats, ledger));
 
   // Phase 2: the bootloader verifies the staged image's MAC as simulated
@@ -160,11 +165,8 @@ Status RunCampaignDevice(int device_id, const CampaignContext& ctx,
     // phase gets its own derived seed so old- and new-firmware sensor
     // streams stay decorrelated but deterministic.
     const uint32_t health_seed = device_seed ^ fleet_internal::Mix32(config.to_version);
-    ASSIGN_OR_RETURN(std::unique_ptr<ClonedDevice> updated,
-                     ClonedDevice::Clone(health_seed, config.fleet.fram_wait_states,
-                                         ctx.to->firmware, ctx.to->snapshot, *ctx.to->os,
-                                         config.fleet.predecode,
-                                         config.fleet.flight_recorder));
+    ASSIGN_OR_RETURN(ClonedDevice * updated,
+                     residents->Acquire(worker, kToSlot, health_seed, *ctx.to, config.fleet));
     BlData bl;
     bl.active_bank = 1;
     bl.attempt_count = 1;
@@ -337,9 +339,10 @@ Result<CampaignReport> RunCampaignImpl(const CampaignConfig& config_in,
       row.verify_cycles = rec.verify_cycles;
     }
   }
-  auto run_one = [&](int id, MetricRegistry* device_metrics, FaultLedger* ledger) {
+  ResidentDevices residents(runner.thread_count(), 2);
+  auto run_one = [&](int id, int worker, MetricRegistry* device_metrics, FaultLedger* ledger) {
     CampaignDeviceRow fresh;
-    RETURN_IF_ERROR(RunCampaignDevice(id, ctx, &fresh, ledger));
+    RETURN_IF_ERROR(RunCampaignDevice(id, worker, ctx, &residents, &fresh, ledger));
     report.devices[static_cast<size_t>(id)] = fresh;
     RecordCampaignDeviceMetrics(fresh, device_metrics);
     return OkStatus();

@@ -117,15 +117,19 @@ Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
   return runtime;
 }
 
-ClonedDevice::ClonedDevice(const Firmware& firmware, int fram_wait_states,
-                           uint32_t device_seed)
+ClonedDevice::ClonedDevice(const Firmware& firmware, int fram_wait_states, bool predecode,
+                           bool flight_recorder)
     : os_(&machine_, firmware, [&] {
         OsOptions options;
         options.fram_wait_states = fram_wait_states;
         options.fault_policy = FaultPolicy::kRestartApp;
-        options.sensor_seed = device_seed;
         return options;
-      }()) {}
+      }()) {
+  machine_.cpu().set_predecode(predecode);
+  if (flight_recorder) {
+    os_.AttachFlightRecorder(&flight_);
+  }
+}
 
 Result<std::unique_ptr<ClonedDevice>> ClonedDevice::Clone(uint32_t device_seed,
                                                           int fram_wait_states,
@@ -135,17 +139,41 @@ Result<std::unique_ptr<ClonedDevice>> ClonedDevice::Clone(uint32_t device_seed,
                                                           bool predecode,
                                                           bool flight_recorder) {
   std::unique_ptr<ClonedDevice> device(
-      new ClonedDevice(firmware, fram_wait_states, device_seed));
-  device->machine_.cpu().set_predecode(predecode);
-  RETURN_IF_ERROR(device->os_.BootFromSnapshot(snapshot, booted));
-  if (flight_recorder) {
-    device->os_.AttachFlightRecorder(&device->flight_);
-  }
-  // The clone carries the template's sensor/RNG state; apply this device's
-  // identity before any event is delivered.
-  device->os_.sensors().Reseed(device_seed);
-  device->os_.sensors().set_mode(ModeFor(device_seed));
+      new ClonedDevice(firmware, fram_wait_states, predecode, flight_recorder));
+  RETURN_IF_ERROR(device->Reset(device_seed, snapshot, booted));
   return device;
+}
+
+Status ClonedDevice::Reset(uint32_t device_seed, const MachineSnapshot& snapshot,
+                           const AmuletOs& booted) {
+  RETURN_IF_ERROR(os_.BootFromSnapshot(snapshot, booted));
+  flight_.Clear();
+  // The restore carries the template's sensor/RNG state; apply this device's
+  // identity before any event is delivered.
+  os_.sensors().Reseed(device_seed);
+  os_.sensors().set_mode(ModeFor(device_seed));
+  return OkStatus();
+}
+
+ResidentDevices::ResidentDevices(int workers, int cohorts)
+    : cohorts_(cohorts), slots_(static_cast<size_t>(workers * cohorts)) {}
+
+Result<ClonedDevice*> ResidentDevices::Acquire(int worker, int cohort, uint32_t device_seed,
+                                               const CohortRuntime& runtime,
+                                               const FleetConfig& config) {
+  std::unique_ptr<ClonedDevice>& slot = slots_[static_cast<size_t>(worker * cohorts_ + cohort)];
+  if (slot == nullptr) {
+    ASSIGN_OR_RETURN(slot, ClonedDevice::Clone(device_seed, config.fram_wait_states,
+                                               runtime.firmware, runtime.snapshot, *runtime.os,
+                                               config.predecode, config.flight_recorder));
+    return slot.get();
+  }
+  const Status status = slot->Reset(device_seed, runtime.snapshot, *runtime.os);
+  if (!status.ok()) {
+    slot.reset();
+    return status;
+  }
+  return slot.get();
 }
 
 Status ClonedDevice::Run(uint64_t sim_ms, const DataRegions& regions, DeviceStats* out,
@@ -270,14 +298,14 @@ void DeviceRunner::Run(const std::vector<int>& ids, const Body& body) {
   run_size_ = ids.size();
   run_done_ = 0;
   run_t0_ = last_progress_ = std::chrono::steady_clock::now();
-  executor_.ParallelFor(ids.size(), [&](size_t k) {
+  executor_.ParallelFor(ids.size(), [&](size_t k, int worker) {
     const int id = ids[k];
     MetricRegistry device_metrics;
     FaultLedger device_ledger;
     const Status status =
         config_.fail_device_id == id
             ? InternalError(StrFormat("injected failure on device %d", id))
-            : body(id, &device_metrics, &device_ledger);
+            : body(id, worker, &device_metrics, &device_ledger);
     std::lock_guard<std::mutex> lock(merge_mu_);
     MergeLocked(id, status, device_metrics, device_ledger);
   });

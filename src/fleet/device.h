@@ -88,11 +88,12 @@ struct CohortRuntime {
 Result<std::unique_ptr<CohortRuntime>> BootCohort(const Cohort& cohort,
                                                   const FleetConfig& config);
 
-// One cloned simulated device: a fresh Machine restored from the template
+// One cloned simulated device: a Machine restored from the template
 // snapshot with this device's sensor identity applied. The campaign driver
-// clones a device once per firmware phase (pre-update workload, post-update
+// runs a device once per firmware phase (pre-update workload, post-update
 // health window) and can touch the machine (bl-data in InfoMem) between
-// runs.
+// runs. Clone() is construction plus Reset(); the fleet keeps devices
+// resident and Reset()s them for every further device (ResidentDevices).
 class ClonedDevice {
  public:
   // `predecode` selects the CPU execution path (fast cache vs reference
@@ -107,6 +108,15 @@ class ClonedDevice {
                                                      const AmuletOs& booted,
                                                      bool predecode = true,
                                                      bool flight_recorder = true);
+
+  // Rewinds the device to `snapshot` through BootFromSnapshot (so `booted`
+  // must be the template this device was cloned from), empties the flight
+  // recorder, reseeds the sensors with `device_seed` and sets its activity
+  // mode. The device then runs exactly like a fresh Clone() with that seed;
+  // only its predecode cache, kept for the code that did not change, is
+  // warmer. On error the machine may be partly overwritten: discard the
+  // device.
+  Status Reset(uint32_t device_seed, const MachineSnapshot& snapshot, const AmuletOs& booted);
 
   Machine& machine() { return machine_; }
   AmuletOs& os() { return os_; }
@@ -123,11 +133,39 @@ class ClonedDevice {
              FaultLedger* ledger = nullptr);
 
  private:
-  ClonedDevice(const Firmware& firmware, int fram_wait_states, uint32_t device_seed);
+  ClonedDevice(const Firmware& firmware, int fram_wait_states, bool predecode,
+               bool flight_recorder);
 
   Machine machine_;
   AmuletOs os_;
   FlightRecorder flight_;
+};
+
+// Worker-resident devices: one ClonedDevice per (worker, cohort) slot,
+// cloned on the slot's first device and Reset() for every later one, so a
+// fleet constructs (cohorts x workers) devices instead of one per device and
+// each keeps its predecode cache warm across resets. A worker uses only its
+// own slots (Executor worker indices are distinct within a ParallelFor
+// call), so no slot is shared between threads.
+class ResidentDevices {
+ public:
+  ResidentDevices(int workers, int cohorts);
+
+  // The slot's device, rewound to `runtime`'s template snapshot with
+  // `device_seed`'s identity under config's wait states, execution path and
+  // flight recorder. A failed reset empties the slot, so a partly restored
+  // machine never runs again: the slot's next device is cloned afresh.
+  Result<ClonedDevice*> Acquire(int worker, int cohort, uint32_t device_seed,
+                                const CohortRuntime& runtime, const FleetConfig& config);
+
+  // The slot's resident device, or null when it holds none.
+  const ClonedDevice* resident(int worker, int cohort) const {
+    return slots_[static_cast<size_t>(worker * cohorts_ + cohort)].get();
+  }
+
+ private:
+  int cohorts_;
+  std::vector<std::unique_ptr<ClonedDevice>> slots_;
 };
 
 // Weekly battery cost of `cycles` measured over a `sim_ms` span.
@@ -161,10 +199,13 @@ double SecondsSince(std::chrono::steady_clock::time_point t0);
 //   - progress/ETA lines on stderr at config.verbosity >= 1.
 class DeviceRunner {
  public:
-  // Simulates device `id`, writing its row into the caller's slot for that
-  // id, and on success records its contribution into *metrics and its faults
-  // into *ledger (both fresh per device).
-  using Body = std::function<Status(int id, MetricRegistry* metrics, FaultLedger* ledger)>;
+  // Simulates device `id` on executor worker `worker` (in [0,
+  // thread_count()); it keys the caller's ResidentDevices), writing its row
+  // into the caller's slot for that id, and on success records its
+  // contribution into *metrics and its faults into *ledger (both fresh per
+  // device).
+  using Body =
+      std::function<Status(int id, int worker, MetricRegistry* metrics, FaultLedger* ledger)>;
   // The caller's part of a checkpoint (kind, identity, template snapshot,
   // completed rows); the driver adds the merged metrics and ledger, the
   // completed bitmap and the device count. Called with the merge mutex held.

@@ -13,15 +13,15 @@ int Executor::DefaultThreadCount() {
 
 Executor::Executor(int threads) : threads_(threads > 0 ? threads : DefaultThreadCount()) {}
 
-void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
+void Executor::ParallelFor(size_t n, const std::function<void(size_t, int)>& body) {
   std::atomic<size_t> next{0};
-  auto work = [&] {
+  auto work = [&](int worker) {
     while (!cancelled()) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) {
         return;
       }
-      body(i);
+      body(i, worker);
     }
   };
   // No more helpers than indices the caller will not take itself.
@@ -30,12 +30,16 @@ void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   std::vector<std::thread> pool;
   pool.reserve(helpers);
   for (size_t t = 0; t < helpers; ++t) {
-    pool.emplace_back(work);
+    pool.emplace_back(work, static_cast<int>(t) + 1);
   }
-  work();
+  work(0);
   for (std::thread& helper : pool) {
     helper.join();
   }
+}
+
+void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
+  ParallelFor(n, [&body](size_t i, int) { body(i); });
 }
 
 }  // namespace amulet

@@ -29,9 +29,14 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // Runs body(0) .. body(n-1), at most thread_count() at a time, and returns
-  // once every claimed index has finished. Indices not yet claimed when
-  // Cancel() is called never run.
+  // Runs body(0, w) .. body(n-1, w), at most thread_count() at a time, and
+  // returns once every claimed index has finished. Indices not yet claimed
+  // when Cancel() is called never run. `worker` names the thread running the
+  // body: within one call every thread has its own index in
+  // [0, thread_count()), the calling thread 0, so callers can keep
+  // per-thread state (the fleet's resident devices) in a slot per worker.
+  void ParallelFor(size_t n, const std::function<void(size_t i, int worker)>& body);
+  // The same without the worker index.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   // Cooperative fail-fast: no index is claimed after Cancel(); bodies already

@@ -15,19 +15,21 @@ namespace {
 
 using fleet_internal::ClonedDevice;
 using fleet_internal::CohortRuntime;
+using fleet_internal::ResidentDevices;
 using fleet_internal::SecondsSince;
 
-Status RunDevice(int device_id, const FleetConfig& config, const CohortRuntime& cohort,
-                 DeviceStats* out, FaultLedger* ledger) {
+// Runs device `device_id` of cohort `cohort_index` on `worker`'s resident
+// device for that cohort.
+Status RunDevice(int device_id, int worker, int cohort_index, const FleetConfig& config,
+                 const CohortRuntime& cohort, ResidentDevices* residents, DeviceStats* out,
+                 FaultLedger* ledger) {
   // Pure function of (fleet_seed, GLOBAL device id): the same device gets the
   // same stream no matter which shard simulates it.
   const uint32_t device_seed = fleet_internal::DeviceSeed(config.fleet_seed, device_id);
-  ASSIGN_OR_RETURN(std::unique_ptr<ClonedDevice> device,
-                   ClonedDevice::Clone(device_seed, config.fram_wait_states,
-                                       cohort.firmware, cohort.snapshot, *cohort.os,
-                                       config.predecode, config.flight_recorder));
+  ASSIGN_OR_RETURN(ClonedDevice * device,
+                   residents->Acquire(worker, cohort_index, device_seed, cohort, config));
   // The cohort's rest/walk/run weights shape the activity draw; the default
-  // 1/1/1 weights reproduce the mode Clone already applied.
+  // 1/1/1 weights reproduce the mode Reset already applied.
   device->os().sensors().set_mode(ActivityForDevice(cohort.cohort, device_seed));
   DeviceStats stats;
   stats.device_id = device_id;
@@ -299,15 +301,18 @@ Result<FleetReport> RunFleetImpl(const FleetConfig& config, const FleetCheckpoin
     }
   }
 
+  ResidentDevices residents(runner.thread_count(), static_cast<int>(cohorts.size()));
   const auto run_t0 = std::chrono::steady_clock::now();
-  runner.Run(pending, [&](int id, MetricRegistry* device_metrics, FaultLedger* ledger) {
+  runner.Run(pending, [&](int id, int worker, MetricRegistry* device_metrics,
+                          FaultLedger* ledger) {
     DeviceStats local;
     DeviceStats* slot = retain ? &report.devices[static_cast<size_t>(id)] : &local;
     const int cohort_index =
         config.profile.empty() ? 0
                                : CohortForDevice(resolved_profile, config.fleet_seed, id);
     const CohortRuntime& cohort = *cohorts[static_cast<size_t>(cohort_index)];
-    RETURN_IF_ERROR(RunDevice(id, config, cohort, slot, ledger));
+    RETURN_IF_ERROR(
+        RunDevice(id, worker, cohort_index, config, cohort, &residents, slot, ledger));
     RecordDeviceMetrics(*slot, device_metrics);
     if (!config.profile.empty()) {
       // Per-device counter, so cohort sizes merge order-independently

@@ -1,5 +1,7 @@
 #include "src/mcu/bus.h"
 
+#include <cstring>
+
 #include "src/common/logging.h"
 #include "src/common/strings.h"
 #include "src/mcu/code_cache.h"
@@ -212,11 +214,25 @@ void Bus::LoadState(SnapshotReader& r) {
   fault_ = static_cast<BusFault>(r.U8());
   fram_wait_states_ = static_cast<int>(r.U32());
   penalty_cycles_ = r.U64();
-  r.Bytes(mem_.data(), mem_.size());
-  // The whole memory image just changed: predecoded records are stale. The
-  // cache is derived state and never serialized, so restore == rebuild.
-  if (code_cache_ != nullptr) {
-    code_cache_->InvalidateAll();
+  const uint8_t* image = r.View(mem_.size());
+  if (image == nullptr) {
+    return;  // truncated: memory stays as it was, and so does the cache
+  }
+  // Every write to mem_ kills the code-cache entries that cover it, so a
+  // valid entry matches current memory. Only the words that differ from the
+  // incoming image need their entries killed; restoring the snapshot a
+  // machine already ran keeps its predecoded code warm.
+  constexpr size_t kLine = 64;
+  for (size_t line = 0; line < mem_.size(); line += kLine) {
+    if (std::memcmp(&mem_[line], image + line, kLine) == 0) {
+      continue;
+    }
+    for (size_t a = line; a < line + kLine; a += 2) {
+      if (mem_[a] != image[a] || mem_[a + 1] != image[a + 1]) {
+        InvalidateCode(static_cast<uint16_t>(a));
+      }
+    }
+    std::memcpy(&mem_[line], image + line, kLine);
   }
 }
 
@@ -226,10 +242,10 @@ Status Bus::LoadImage(uint16_t base, const std::vector<uint8_t>& bytes) {
                                      bytes.size(), HexWord(base).c_str()));
   }
   for (size_t i = 0; i < bytes.size(); ++i) {
-    mem_[base + i] = bytes[i];
-  }
-  if (code_cache_ != nullptr) {
-    code_cache_->InvalidateAll();
+    if (mem_[base + i] != bytes[i]) {
+      mem_[base + i] = bytes[i];
+      InvalidateCode(static_cast<uint16_t>(base + i));
+    }
   }
   return OkStatus();
 }

@@ -128,6 +128,8 @@ class Bus {
 
   // Snapshot support: memory image + bus bookkeeping. Wiring (devices, MPU,
   // counting set) is reconstructed by the owning Machine, not serialized.
+  // LoadState, like LoadImage, kills only the code-cache entries over the
+  // words whose bytes change.
   void SaveState(SnapshotWriter& w) const;
   void LoadState(SnapshotReader& r);
 

@@ -740,18 +740,20 @@ bool Cpu::FillEntry(uint16_t addr, CodeCache::Entry* entry) {
       ++entry->fram_words;
     }
   }
-  cache_.MarkValid(entry);
+  entry->valid = true;
   return true;
 }
 
 StepResult Cpu::StepFast(uint16_t insn_addr) {
-  CodeCache::Entry* entry = cache_.Slot(insn_addr);
-  if (!cache_.IsValid(*entry)) {
+  const CodeCache::Entry* entry = cache_.Slot(insn_addr);
+  if (!entry->valid) {
     cache_.CountMiss();
-    if (!FillEntry(insn_addr, entry)) {
+    CodeCache::Entry* fill = cache_.SlotForFill(insn_addr);
+    if (!FillEntry(insn_addr, fill)) {
       cache_.CountSlowPath();
       return StepSlow(insn_addr);
     }
+    entry = fill;
   } else {
     cache_.CountHit();
   }

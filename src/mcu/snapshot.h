@@ -8,8 +8,9 @@
 // Format:  u32 magic "AMSN" | u32 version | sections...
 // Section: u8 tag | u32 payload length | payload bytes
 // Readers validate magic, version, every section tag/length, and that the
-// buffer is fully consumed; any mismatch yields a non-OK Status instead of a
-// partially restored machine.
+// buffer is fully consumed; any mismatch yields a non-OK Status. Validation
+// runs as sections are read, so a failed restore may leave the machine
+// partly overwritten (see RestoreSnapshot).
 //
 // The writer/reader pair itself (SnapshotWriter/SnapshotReader) lives in
 // src/common/binio.h so other subsystems — fleet checkpoints, metric

@@ -141,8 +141,8 @@ Status AmuletOs::Boot() {
 }
 
 Status AmuletOs::BootFromSnapshot(const MachineSnapshot& snapshot, const AmuletOs& booted) {
-  if (booted_) {
-    return FailedPreconditionError("already booted");
+  if (booted_ && template_ != &booted) {
+    return FailedPreconditionError("already booted, and not from this template");
   }
   if (!booted.booted_) {
     return FailedPreconditionError("template OS has not completed Boot()");
@@ -152,6 +152,9 @@ Status AmuletOs::BootFromSnapshot(const MachineSnapshot& snapshot, const AmuletO
         StrFormat("firmware has %zu app(s) but template has %zu", firmware_.apps.size(),
                   booted.firmware_.apps.size()));
   }
+  // A failed restore may leave the machine partly overwritten; the OS then
+  // stays unbooted and refuses to deliver events.
+  booted_ = false;
   RETURN_IF_ERROR(RestoreSnapshot(snapshot, machine_));
   machine_->bus().set_fram_wait_states(options_.fram_wait_states);
   machine_->cpu().ClearRecentPcs();
@@ -170,6 +173,7 @@ Status AmuletOs::BootFromSnapshot(const MachineSnapshot& snapshot, const AmuletO
   sensors_ = booted.sensors_;
   current_app_ = -1;
   booted_ = true;
+  template_ = &booted;
   return OkStatus();
 }
 

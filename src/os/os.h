@@ -116,7 +116,10 @@ class AmuletOs {
   // and sensor state), skipping the image load and every on_init dispatch.
   // Both instances must have been constructed from the same firmware. The
   // clone is indistinguishable from a fresh Boot() on this machine; callers
-  // that want a distinct device identity reseed sensors() afterwards.
+  // that want a distinct device identity reseed sensors() afterwards. A
+  // clone may boot again from the same template, which rewinds it to the
+  // snapshot (the fleet's resident devices do this once per device); an OS
+  // booted any other way refuses.
   Status BootFromSnapshot(const MachineSnapshot& snapshot, const AmuletOs& booted);
 
   struct DispatchResult {
@@ -223,6 +226,8 @@ class AmuletOs {
   std::vector<LogEntry> log_;
   bool booted_ = false;
   bool in_restart_ = false;
+  // The template of the last BootFromSnapshot(); null when never cloned.
+  const AmuletOs* template_ = nullptr;
 };
 
 }  // namespace amulet

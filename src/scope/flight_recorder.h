@@ -62,6 +62,10 @@ class FlightRecorder {
   // The newest `max_events` events, oldest first.
   std::vector<FlightEvent> Tail(size_t max_events) const;
 
+  // Forgets every recorded event (a device reused for the next one starts
+  // with an empty tail). Keeps the clock.
+  void Clear() { recorded_ = 0; }
+
  private:
   std::array<FlightEvent, kCapacity> ring_{};
   uint64_t recorded_ = 0;

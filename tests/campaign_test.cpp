@@ -12,8 +12,11 @@
 #include "src/aft/aft.h"
 #include "src/apps/app_sources.h"
 #include "src/fleet/campaign.h"
+#include "src/common/strings.h"
 #include "src/fleet/checkpoint.h"
+#include "src/fleet/device.h"
 #include "src/fleet/fleet.h"
+#include "src/ota/bootloader.h"
 #include "src/ota/image.h"
 
 namespace amulet {
@@ -331,6 +334,90 @@ TEST(CampaignTest, CanaryCatchesStormingUpdate) {
   ASSERT_EQ(report->stages.size(), 1u);
   EXPECT_EQ(report->stages[0].rolled_back, report->stages[0].device_count);
   EXPECT_EQ(report->metrics.counter("campaign.version.4"), 0u);
+}
+
+// Campaign devices run both firmware phases on worker-resident devices.
+// Each row must match the fresh Clone + Run per phase the campaign did
+// before: the workload on the old firmware, then (for an accepted image)
+// the health window on the new one with the activated bl-data.
+TEST(CampaignTest, ResidentDevicesMatchFreshClones) {
+  using fleet_internal::ClonedDevice;
+  CampaignConfig storming = SmallCampaign(1);
+  storming.fleet.device_count = 10;
+  storming.to_apps = {"clock", "crasher"};
+  storming.health_ms = 800;  // crasher faults every 100 ms
+  storming.stages = {{100, 1.0}};
+  for (const CampaignConfig& base : {SmallCampaign(1), storming}) {
+    for (const bool predecode : {true, false}) {
+      CampaignConfig config = base;
+      config.fleet.predecode = predecode;
+      Cohort from_cohort;
+      from_cohort.apps = config.fleet.apps;
+      from_cohort.model = config.fleet.model;
+      Cohort to_cohort = from_cohort;
+      if (!config.to_apps.empty()) {
+        to_cohort.apps = config.to_apps;
+      }
+      auto from = fleet_internal::BootCohort(from_cohort, config.fleet);
+      auto to = fleet_internal::BootCohort(to_cohort, config.fleet);
+      ASSERT_TRUE(from.ok() && to.ok());
+
+      for (const int jobs : {1, 4}) {
+        SCOPED_TRACE(StrFormat("to_apps=%zu predecode=%d jobs=%d", config.to_apps.size(),
+                               predecode ? 1 : 0, jobs));
+        config.fleet.jobs = jobs;
+        auto report = RunCampaign(config);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        FaultLedger fresh_ledger;
+        for (const CampaignDeviceRow& row : report->devices) {
+          ASSERT_NE(row.outcome, OtaOutcome::kNotAttempted);
+          const int id = row.stats.device_id;
+          const uint32_t seed = fleet_internal::DeviceSeed(config.fleet.fleet_seed, id);
+          DeviceStats fresh;
+          fresh.device_id = id;
+          FaultLedger ledger;  // one per device, merged once
+          auto device = ClonedDevice::Clone(seed, config.fleet.fram_wait_states,
+                                            (*from)->firmware, (*from)->snapshot,
+                                            *(*from)->os, predecode);
+          ASSERT_TRUE(device.ok());
+          ASSERT_TRUE((*device)
+                          ->Run(config.fleet.sim_ms, (*from)->regions, &fresh, &ledger)
+                          .ok());
+          uint64_t span_ms = config.fleet.sim_ms;
+          if (row.outcome != OtaOutcome::kRejected) {
+            auto updated = ClonedDevice::Clone(
+                seed ^ fleet_internal::Mix32(config.to_version), config.fleet.fram_wait_states,
+                (*to)->firmware, (*to)->snapshot, *(*to)->os, predecode);
+            ASSERT_TRUE(updated.ok());
+            BlData bl;
+            bl.active_bank = 1;
+            bl.attempt_count = 1;
+            bl.current_version = config.to_version;
+            bl.prior_version = config.from_version;
+            WriteBlData(&(*updated)->machine().bus(), bl);
+            ASSERT_TRUE((*updated)
+                            ->Run(config.health_ms, (*to)->regions, &fresh, &ledger)
+                            .ok());
+            span_ms += config.health_ms;
+          }
+          fresh_ledger.Merge(ledger);
+          fresh.battery_impact_percent =
+              fleet_internal::BatteryPercentFor(fresh.cycles, span_ms, config.fleet.energy);
+          const DeviceStats& got = row.stats;
+          EXPECT_EQ(got.cycles, fresh.cycles) << "device " << id;
+          EXPECT_EQ(got.instructions, fresh.instructions) << "device " << id;
+          EXPECT_EQ(got.data_accesses, fresh.data_accesses) << "device " << id;
+          EXPECT_EQ(got.syscalls, fresh.syscalls) << "device " << id;
+          EXPECT_EQ(got.dispatches, fresh.dispatches) << "device " << id;
+          EXPECT_EQ(got.faults, fresh.faults) << "device " << id;
+          EXPECT_EQ(got.pucs, fresh.pucs) << "device " << id;
+          EXPECT_EQ(got.watchdog_resets, fresh.watchdog_resets) << "device " << id;
+          EXPECT_EQ(got.battery_impact_percent, fresh.battery_impact_percent) << "device " << id;
+        }
+        EXPECT_EQ(report->faults.ToJsonl(), fresh_ledger.ToJsonl());
+      }
+    }
+  }
 }
 
 TEST(CampaignTest, ValidatesConfig) {

@@ -6,18 +6,28 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/aft/aft.h"
 #include "src/apps/app_sources.h"
+#include "src/common/strings.h"
 #include "src/fleet/checkpoint.h"
+#include "src/fleet/device.h"
 #include "src/fleet/executor.h"
 #include "src/fleet/fleet.h"
+#include "src/fleet/profile.h"
 #include "src/mcu/machine.h"
 #include "src/mcu/snapshot.h"
 #include "src/os/os.h"
+#include "src/ota/bootloader.h"
 
 namespace amulet {
 namespace {
@@ -215,6 +225,41 @@ TEST(ExecutorTest, SingleThreadRunsOnCallingThread) {
   executor.ParallelFor(ids.size(), [&ids](size_t i) { ids[i] = std::this_thread::get_id(); });
   for (const std::thread::id& id : ids) {
     EXPECT_EQ(id, caller);
+  }
+}
+
+TEST(ExecutorTest, EveryThreadGetsOneDistinctWorkerIndex) {
+  for (int threads : {1, 2, 4, 8}) {
+    Executor executor(threads);
+    // Two calls on one executor: the indices are handed out afresh per call.
+    for (int call = 0; call < 2; ++call) {
+      std::mutex mu;
+      std::map<std::thread::id, std::set<int>> workers_of_thread;
+      std::map<int, std::set<std::thread::id>> threads_of_worker;
+      std::vector<std::atomic<int>> hits(400);
+      executor.ParallelFor(hits.size(), [&](size_t i, int worker) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        std::lock_guard<std::mutex> lock(mu);
+        workers_of_thread[std::this_thread::get_id()].insert(worker);
+        threads_of_worker[worker].insert(std::this_thread::get_id());
+      });
+      for (const std::atomic<int>& h : hits) {
+        EXPECT_EQ(h.load(), 1);
+      }
+      for (const auto& [thread, workers] : workers_of_thread) {
+        EXPECT_EQ(workers.size(), 1u) << "threads " << threads << ": a thread changed index";
+      }
+      for (const auto& [worker, ids] : threads_of_worker) {
+        EXPECT_GE(worker, 0);
+        EXPECT_LT(worker, executor.thread_count());
+        EXPECT_EQ(ids.size(), 1u) << "threads " << threads << ": worker " << worker
+                                  << " ran on two threads";
+      }
+      // The calling thread takes part as worker 0.
+      ASSERT_EQ(workers_of_thread.count(std::this_thread::get_id()), 1u);
+      EXPECT_EQ(*workers_of_thread[std::this_thread::get_id()].begin(), 0);
+    }
   }
 }
 
@@ -627,6 +672,246 @@ TEST(FleetTest, ResumeValidatesConfigAndPath) {
   missing.checkpoint_path = "definitely_missing_checkpoint.bin";
   EXPECT_EQ(ResumeFleet(missing).status().code(), StatusCode::kNotFound);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Worker-resident devices: every fleet device runs on a resident device
+// Reset() from its cohort snapshot. The reference below is the fresh
+// Clone + Run per device id that the fleet did before; the two must agree
+// field for field.
+
+using fleet_internal::ClonedDevice;
+using fleet_internal::CohortRuntime;
+using fleet_internal::ResidentDevices;
+
+// One fleet device simulated on a freshly cloned device.
+struct FreshDevice {
+  DeviceStats stats;
+  FaultLedger ledger;
+};
+
+FreshDevice RunFresh(const FleetConfig& config, const CohortRuntime& cohort, int id) {
+  const uint32_t seed = fleet_internal::DeviceSeed(config.fleet_seed, id);
+  FreshDevice out;
+  out.stats.device_id = id;
+  auto device = ClonedDevice::Clone(seed, config.fram_wait_states, cohort.firmware,
+                                    cohort.snapshot, *cohort.os, config.predecode,
+                                    config.flight_recorder);
+  EXPECT_TRUE(device.ok()) << device.status().ToString();
+  if (!device.ok()) {
+    return out;
+  }
+  (*device)->os().sensors().set_mode(ActivityForDevice(cohort.cohort, seed));
+  const Status run = (*device)->Run(config.sim_ms, cohort.regions, &out.stats, &out.ledger);
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  out.stats.battery_impact_percent =
+      fleet_internal::BatteryPercentFor(out.stats.cycles, config.sim_ms, config.energy);
+  return out;
+}
+
+std::string RowText(const DeviceStats& d) {
+  return StrFormat("d%d:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%a", d.device_id,
+                   static_cast<unsigned long long>(d.cycles),
+                   static_cast<unsigned long long>(d.data_accesses),
+                   static_cast<unsigned long long>(d.syscalls),
+                   static_cast<unsigned long long>(d.dispatches),
+                   static_cast<unsigned long long>(d.faults),
+                   static_cast<unsigned long long>(d.pucs),
+                   static_cast<unsigned long long>(d.watchdog_resets),
+                   static_cast<unsigned long long>(d.instructions), d.battery_impact_percent);
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+}
+
+// The four memory models, two of them running the crasher, so resets cross
+// faulting devices and every cohort's slot is reused several times.
+FleetConfig FourModelCrasherFleet() {
+  FleetConfig config;
+  config.device_count = 40;
+  config.fleet_seed = 0x5EED;
+  config.sim_ms = 500;  // the crasher faults every 100 ms
+  for (const char* spec : {"a:1:none:pedometer+clock", "b:1:fl:pedometer+clock",
+                           "c:1:sw:pedometer+crasher", "d:1:mpu:pedometer+crasher"}) {
+    auto cohort = ParseCohortSpec(spec);
+    EXPECT_TRUE(cohort.ok()) << cohort.status().ToString();
+    config.profile.cohorts.push_back(*cohort);
+  }
+  return config;
+}
+
+TEST(FleetTest, ResidentDevicesMatchFreshClones) {
+  const std::string path = "fleet_resident_equiv.ckpt";
+  for (const bool predecode : {true, false}) {
+    FleetConfig config = FourModelCrasherFleet();
+    config.predecode = predecode;
+    std::vector<std::unique_ptr<CohortRuntime>> cohorts;
+    for (const Cohort& cohort : config.profile.cohorts) {
+      auto runtime = fleet_internal::BootCohort(cohort, config);
+      ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+      cohorts.push_back(std::move(*runtime));
+    }
+    std::vector<DeviceStats> fresh_rows;
+    FaultLedger fresh_ledger;
+    for (int id = 0; id < config.device_count; ++id) {
+      const int c = CohortForDevice(config.profile, config.fleet_seed, id);
+      FreshDevice fresh = RunFresh(config, *cohorts[static_cast<size_t>(c)], id);
+      fresh_rows.push_back(fresh.stats);
+      fresh_ledger.Merge(fresh.ledger);
+    }
+    ASSERT_GT(fresh_ledger.total_faults(), 0u) << "the crasher cohorts must fault";
+
+    for (const int jobs : {1, 4}) {
+      SCOPED_TRACE(StrFormat("predecode=%d jobs=%d", predecode ? 1 : 0, jobs));
+      std::remove(path.c_str());
+      config.jobs = jobs;
+      config.checkpoint_path = path;
+      auto report = RunFleet(config);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      for (int id = 0; id < config.device_count; ++id) {
+        EXPECT_EQ(RowText(report->devices[static_cast<size_t>(id)]),
+                  RowText(fresh_rows[static_cast<size_t>(id)]));
+      }
+      // JSONL carries each exemplar's call stack and flight tail.
+      EXPECT_EQ(report->faults.ToJsonl(), fresh_ledger.ToJsonl());
+
+      // The checkpoint with the fresh clones' rows and ledger put in must
+      // encode to the very bytes the resident run wrote.
+      const std::vector<uint8_t> written = ReadBytes(path);
+      auto checkpoint = DecodeFleetCheckpoint(written);
+      ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+      checkpoint->devices = fresh_rows;
+      checkpoint->faults = fresh_ledger;
+      EXPECT_EQ(EncodeFleetCheckpoint(*checkpoint), written);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A resident device reset from its snapshot must run exactly like a fresh
+// clone, even after the previous device rewrote code (a host poke whose
+// patched instruction then ran and was predecoded) or wrote InfoMem.
+TEST(FleetTest, ResetDeviceMatchesFreshClone) {
+  for (const bool predecode : {true, false}) {
+    SCOPED_TRACE(predecode ? "predecode" : "interpreter");
+    FleetConfig config;
+    config.fleet_seed = 0xBEEF;
+    config.sim_ms = 500;
+    config.predecode = predecode;
+    Cohort cohort;
+    cohort.apps = {"pedometer", "crasher"};
+    cohort.model = MemoryModel::kMpu;
+    auto runtime = fleet_internal::BootCohort(cohort, config);
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+    const CohortRuntime& rt = **runtime;
+
+    const FreshDevice fresh = RunFresh(config, rt, 7);
+    ASSERT_GT(fresh.stats.faults, 0u);
+    auto fresh_device = ClonedDevice::Clone(fleet_internal::DeviceSeed(config.fleet_seed, 7),
+                                            config.fram_wait_states, rt.firmware, rt.snapshot,
+                                            *rt.os, predecode);
+    ASSERT_TRUE(fresh_device.ok());
+    DeviceStats unused;
+    ASSERT_TRUE((*fresh_device)->Run(config.sim_ms, rt.regions, &unused).ok());
+    const MachineSnapshot fresh_end = CaptureSnapshot((*fresh_device)->machine());
+
+    // The first device: run, then make the pedometer's first event handler
+    // return at once and run again so the patched `ret` is what got cached.
+    auto device = ClonedDevice::Clone(fleet_internal::DeviceSeed(config.fleet_seed, 1),
+                                      config.fram_wait_states, rt.firmware, rt.snapshot, *rt.os,
+                                      predecode);
+    ASSERT_TRUE(device.ok()) << device.status().ToString();
+    DeviceStats first;
+    ASSERT_TRUE((*device)->Run(config.sim_ms, rt.regions, &first).ok());
+    uint16_t handler = 0;
+    for (size_t e = 1; e < static_cast<size_t>(EventType::kCount) && handler == 0; ++e) {
+      handler = rt.firmware.apps[0].handlers[e];
+    }
+    ASSERT_NE(handler, 0);
+    Bus& bus = (*device)->machine().bus();
+    const uint16_t original = bus.PeekWord(handler);
+    ASSERT_NE(original, 0x4130);
+    bus.PokeWord(handler, 0x4130);  // ret
+    DeviceStats patched;
+    ASSERT_TRUE((*device)->Run(config.sim_ms, rt.regions, &patched).ok());
+    ASSERT_GT(patched.dispatches, 0u);
+
+    auto run_again = [&](const char* after) {
+      SCOPED_TRACE(after);
+      const uint32_t seed = fleet_internal::DeviceSeed(config.fleet_seed, 7);
+      ASSERT_TRUE((*device)->Reset(seed, rt.snapshot, *rt.os).ok());
+      EXPECT_EQ(bus.PeekWord(handler), original);
+      (*device)->os().sensors().set_mode(ActivityForDevice(cohort, seed));
+      DeviceStats stats;
+      stats.device_id = 7;
+      FaultLedger ledger;
+      ASSERT_TRUE((*device)->Run(config.sim_ms, rt.regions, &stats, &ledger).ok());
+      stats.battery_impact_percent =
+          fleet_internal::BatteryPercentFor(stats.cycles, config.sim_ms, config.energy);
+      EXPECT_EQ(RowText(stats), RowText(fresh.stats));
+      EXPECT_EQ(ledger.ToJsonl(), fresh.ledger.ToJsonl());
+      EXPECT_EQ(CaptureSnapshot((*device)->machine()).bytes, fresh_end.bytes);
+    };
+    run_again("reset after a code poke");
+
+    BlData bl;
+    bl.active_bank = 1;
+    bl.attempt_count = 1;
+    bl.current_version = 9;
+    WriteBlData(&bus, bl);
+    ASSERT_TRUE(ReadBlData(bus).ok());
+    run_again("reset after an InfoMem write");
+    EXPECT_EQ(ReadBlData(bus).ok(), ReadBlData((*fresh_device)->machine().bus()).ok());
+  }
+}
+
+// A reset from a corrupt snapshot may leave the machine partly restored.
+// That device must not run, and the resident slot holding it is dropped so
+// the slot's next device is cloned afresh.
+TEST(FleetTest, FailedResetDropsResidentSlot) {
+  FleetConfig config;
+  config.fleet_seed = 0xFA11;
+  config.sim_ms = 300;
+  Cohort cohort;
+  cohort.apps = {"pedometer", "clock"};
+  auto runtime = fleet_internal::BootCohort(cohort, config);
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+  CohortRuntime& rt = **runtime;
+  const MachineSnapshot good = rt.snapshot;
+  MachineSnapshot truncated = good;
+  truncated.bytes.resize(truncated.bytes.size() / 2);
+
+  ResidentDevices residents(1, 1);
+  const uint32_t seed = fleet_internal::DeviceSeed(config.fleet_seed, 3);
+  auto first = residents.Acquire(0, 0, seed, rt, config);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(residents.resident(0, 0), *first);
+
+  // Straight on the device: the reset fails and the device refuses to run.
+  EXPECT_FALSE((*first)->Reset(seed, truncated, *rt.os).ok());
+  DeviceStats stats;
+  EXPECT_FALSE((*first)->Run(config.sim_ms, rt.regions, &stats).ok());
+
+  // Through the slot: the failed reset empties it.
+  rt.snapshot = truncated;
+  EXPECT_FALSE(residents.Acquire(0, 0, seed, rt, config).ok());
+  EXPECT_EQ(residents.resident(0, 0), nullptr);
+
+  // The next device gets a fresh clone that runs like any other.
+  rt.snapshot = good;
+  auto next = residents.Acquire(0, 0, seed, rt, config);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(residents.resident(0, 0), *next);
+  (*next)->os().sensors().set_mode(ActivityForDevice(rt.cohort, seed));
+  DeviceStats row;
+  row.device_id = 3;
+  ASSERT_TRUE((*next)->Run(config.sim_ms, rt.regions, &row).ok());
+  row.battery_impact_percent =
+      fleet_internal::BatteryPercentFor(row.cycles, config.sim_ms, config.energy);
+  EXPECT_EQ(RowText(row), RowText(RunFresh(config, rt, 3).stats));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/fleet/fleet.h"
+#include "src/mcu/code_cache.h"
 #include "src/mcu/machine.h"
 #include "src/mcu/memory_map.h"
 #include "tests/sim_test_util.h"
@@ -156,6 +157,129 @@ TEST(PredecodeTest, RestoreSnapshotDropsStaleEntries) {
   out = m.Run(100000);
   EXPECT_EQ(out.result, StepResult::kStopped);
   EXPECT_EQ(m.cpu().reg(Reg::kR4), 222) << "stale predecode entries executed after restore";
+}
+
+// Two programs with one layout: B differs from A in a 1-word instruction
+// (add -> sub) and in the last word of a 3-word instruction (the absolute
+// destination of `mov #imm, &addr`). Each loops so its code is cached and
+// replayed.
+std::string LoopProgram(const char* alu, const char* dst) {
+  return std::string("start:\n"
+                     "  mov #0x2400, sp\n"
+                     "  mov #10, r5\n"
+                     "  clr r6\n"
+                     "loop:\n"
+                     "  ") +
+         alu + " r5, r6\n" + "  mov #0x1234, &" + dst + "\n" +
+         "  dec r5\n"
+         "  jnz loop\n" +
+         kStop;
+}
+
+MachineSnapshot LoadedSnapshot(const std::string& source) {
+  Machine donor;
+  AssembleAndLoad(&donor, source);
+  return CaptureSnapshot(donor);
+}
+
+// A machine that ran snapshot A gets snapshot B restored over it: only the
+// changed words lose their entries, and the kept ones must still replay
+// exactly what the interpreter fetches.
+TEST(PredecodeTest, RestoreOfDifferentSnapshotMatchesInterpreter) {
+  const MachineSnapshot a = LoadedSnapshot(LoopProgram("add", "0x2000"));
+  const MachineSnapshot b = LoadedSnapshot(LoopProgram("sub", "0x2002"));
+
+  Machine fast;
+  fast.cpu().set_predecode(true);
+  ASSERT_TRUE(RestoreSnapshot(a, &fast).ok());
+  ASSERT_EQ(fast.Run(100000).result, StepResult::kStopped);
+  ASSERT_EQ(fast.cpu().reg(Reg::kR6), 55);
+  ASSERT_TRUE(RestoreSnapshot(b, &fast).ok());
+  const Cpu::RunOutcome fast_outcome = fast.Run(100000);
+
+  Machine slow;
+  slow.cpu().set_predecode(false);
+  ASSERT_TRUE(RestoreSnapshot(b, &slow).ok());
+  const Cpu::RunOutcome slow_outcome = slow.Run(100000);
+
+  EXPECT_EQ(fast_outcome.result, slow_outcome.result);
+  EXPECT_EQ(fast_outcome.stop_code, slow_outcome.stop_code);
+  EXPECT_EQ(fast_outcome.cycles, slow_outcome.cycles);
+  EXPECT_EQ(CaptureSnapshot(fast).bytes, CaptureSnapshot(slow).bytes)
+      << "a stale entry from snapshot A ran after B was restored";
+  EXPECT_EQ(fast.cpu().reg(Reg::kR6), static_cast<uint16_t>(-55));
+  EXPECT_EQ(fast.bus().PeekWord(0x2002), 0x1234);
+  EXPECT_EQ(fast.bus().PeekWord(0x2000), 0);
+}
+
+// Restoring the snapshot a machine already ran keeps its predecoded code:
+// the program's own data writes miss the code, so the rerun never refills.
+TEST(PredecodeTest, RestoringSameSnapshotKeepsEntries) {
+  const MachineSnapshot a = LoadedSnapshot(LoopProgram("add", "0x2000"));
+  Machine m;
+  m.cpu().set_predecode(true);
+  ASSERT_TRUE(RestoreSnapshot(a, &m).ok());
+  ASSERT_EQ(m.Run(100000).result, StepResult::kStopped);
+  const CodeCache::Stats first = m.cpu().code_cache_stats();
+  ASSERT_GT(first.misses, 0u);
+
+  ASSERT_TRUE(RestoreSnapshot(a, &m).ok());
+  ASSERT_EQ(m.Run(100000).result, StepResult::kStopped);
+  const CodeCache::Stats second = m.cpu().code_cache_stats();
+  EXPECT_EQ(second.misses, first.misses) << "the rerun refilled code it had already run";
+  EXPECT_GT(second.hits, first.hits);
+  EXPECT_EQ(m.cpu().reg(Reg::kR6), 55);
+}
+
+// Every page of the paged cache fills and reads back its own entries.
+TEST(CodeCacheTest, FillsOnEveryPage) {
+  CodeCache cache;
+  EXPECT_EQ(cache.pages_allocated(), 0);
+  constexpr uint32_t kPageBytes = 2 * CodeCache::kPageEntries;
+  for (uint32_t page = 0; page < CodeCache::kPages; ++page) {
+    for (const uint32_t offset : {0u, 2u, kPageBytes - 2}) {
+      const uint16_t addr = static_cast<uint16_t>(page * kPageBytes + offset);
+      EXPECT_FALSE(cache.Slot(addr)->valid);
+      CodeCache::Entry* entry = cache.SlotForFill(addr);
+      entry->pd.next_pc = addr;
+      entry->valid = true;
+      EXPECT_EQ(cache.Slot(addr), entry);
+      EXPECT_EQ(cache.Slot(static_cast<uint16_t>(addr + 1)), entry) << "bit 0 is ignored";
+    }
+  }
+  EXPECT_EQ(cache.pages_allocated(), CodeCache::kPages);
+  for (uint32_t page = 0; page < CodeCache::kPages; ++page) {
+    const uint16_t addr = static_cast<uint16_t>(page * kPageBytes + 2);
+    ASSERT_TRUE(cache.Slot(addr)->valid);
+    EXPECT_EQ(cache.Slot(addr)->pd.next_pc, addr);
+    EXPECT_FALSE(cache.Slot(static_cast<uint16_t>(addr + 2))->valid);
+  }
+}
+
+// Invalidating a word on a page that was never filled touches nothing (the
+// shared all-invalid page is read-only), but still kills entries on the
+// previous page whose instruction could span into it.
+TEST(CodeCacheTest, InvalidateWordOnUnallocatedPageIsNoOp) {
+  CodeCache cache;
+  cache.InvalidateWord(0x4400);
+  EXPECT_EQ(cache.pages_allocated(), 0);
+  EXPECT_FALSE(cache.Slot(0x4400)->valid);
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+
+  // Page 0x4400 / 512 = 34 holds the last two entries; page 35 is empty.
+  constexpr uint16_t kNextPage = 35 * 2 * CodeCache::kPageEntries;
+  for (const uint16_t addr : {static_cast<uint16_t>(kNextPage - 6),
+                              static_cast<uint16_t>(kNextPage - 4),
+                              static_cast<uint16_t>(kNextPage - 2)}) {
+    cache.SlotForFill(addr)->valid = true;
+  }
+  EXPECT_EQ(cache.pages_allocated(), 1);
+  cache.InvalidateWord(kNextPage);  // kills kNextPage-2 and kNextPage-4 only
+  EXPECT_EQ(cache.pages_allocated(), 1);
+  EXPECT_TRUE(cache.Slot(static_cast<uint16_t>(kNextPage - 6))->valid);
+  EXPECT_FALSE(cache.Slot(static_cast<uint16_t>(kNextPage - 4))->valid);
+  EXPECT_FALSE(cache.Slot(static_cast<uint16_t>(kNextPage - 2))->valid);
+  EXPECT_FALSE(cache.Slot(kNextPage)->valid);
 }
 
 // MPU enabled mid-program, then a fetch from a non-executable segment: the
